@@ -14,8 +14,8 @@ from .graphs import (EdgeListParseError, GenerationError, Graph, GraphError,
 from .moves import (Move, MoveEngineError, SingletonEliminationError, apply_move,
                     eliminate_singletons, find_basic_move, find_compound_move,
                     find_derived_move, find_pair_move)
-from .oracle import (OracleResult, OracleUnknown, bound_check, exact_pi_p,
-                     max_linear_forest, pi_p_via_linear_forest)
+from .oracle import (OracleResult, OracleUnknown, exact_pi_p, max_linear_forest,
+                     pi_p_via_linear_forest)
 from .partition import (Component, PathPartition, partition_from_json,
                         partition_to_json, validate_partition)
 from .solver import SolveReport, canonicalize, initial_partition, solve

@@ -7,10 +7,6 @@ from dataclasses import dataclass, field
 from .graphs import Graph
 from .partition import CYCLE, PATH, SINGLETON, PathPartition
 
-PATH_EDGE = "path"
-CYCLE_EDGE = "cycle"
-FREE_EDGE = "free"
-
 V1 = "V1"
 V2A = "V2a"
 V2B = "V2b"
@@ -31,24 +27,19 @@ class CrossCycleError(ValueError):
 
 @dataclass
 class EdgeClassification:
-    """Total labeling of E into path, cycle, and free edges."""
+    """The free edges of E: those that are neither path nor cycle edges."""
 
-    label: dict[tuple[int, int], str]
     free_edges: list[tuple[int, int]]
-
-    def of(self, u: int, v: int) -> str:
-        return self.label[(u, v) if u < v else (v, u)]
 
 
 def classify_edges(g: Graph, p: PathPartition) -> EdgeClassification:
-    """Label every edge.
+    """Collect the free edges.
 
     Path edges are the partition edges of path components; cycle edges are all
     edges inside one cycle component (chords included); the rest are free.
     Requires no edge between two distinct cycle components (run the solver's
     basic moves first), otherwise CrossCycleError carries the offending edge.
     """
-    label = {}
     free = []
     for e in g.edges:
         u, v = e
@@ -56,15 +47,12 @@ def classify_edges(g: Graph, p: PathPartition) -> EdgeClassification:
         ku = p.components[cu].kind
         kv = p.components[cv].kind
         if cu == cv and ku == CYCLE:
-            label[e] = CYCLE_EDGE
-        elif ku == CYCLE and kv == CYCLE:
+            continue
+        if ku == CYCLE and kv == CYCLE:
             raise CrossCycleError(e)
-        elif cu == cv and ku == PATH and p.part_adjacent(u, v):
-            label[e] = PATH_EDGE
-        else:
-            label[e] = FREE_EDGE
+        if not (cu == cv and ku == PATH and p.part_adjacent(u, v)):
             free.append(e)
-    return EdgeClassification(label=label, free_edges=free)
+    return EdgeClassification(free_edges=free)
 
 
 @dataclass

@@ -4,17 +4,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import graphs, oracle
-from .classify import classify_edges, classify_vertices
-from .discharge import RULES_D5, RULES_D6, apply_rules, audit_block_bounds
+from .discharge import (RULES_D5, RULES_D6, RuleSet, audit_block_bounds,
+                        ruleset_for_degree)
 from .graphs import Graph, GraphError, GenerationError
 from .moves import MoveEngineError
 from .partition import partition_to_json
-from .solver import solve
+from .solver import SolveReport, solve
 
 EXIT_PASS = 0
 EXIT_CERT_FAIL = 1
@@ -57,12 +56,12 @@ def cmd_gen(args) -> int:
     return EXIT_PASS
 
 
-def _resolve_rules(g: Graph, args) -> tuple[object, int] | int:
-    d = graphs.infer_degree(g)
+def _resolve_rules(g: Graph, args) -> RuleSet | int:
     if args.rules == "d6":
-        return RULES_D6, (d if d is not None else -1)
+        return RULES_D6
     if args.rules == "d5":
-        return RULES_D5, (d if d is not None else -1)
+        return RULES_D5
+    d = graphs.infer_degree(g)
     if d not in (5, 6):
         print(f"solve: input must be 5- or 6-regular (got degree {d})",
               file=sys.stderr)
@@ -73,11 +72,12 @@ def _resolve_rules(g: Graph, args) -> tuple[object, int] | int:
             print(f"solve: 5-regular input contains K6 {witness}; "
                   "the degree-5 guarantee requires K6-free input", file=sys.stderr)
             return EXIT_INVALID
-    return (RULES_D6 if d == 6 else RULES_D5), d
+    return ruleset_for_degree(d)
 
 
-def _write_reproducer(args, g, report) -> str:
-    out = Path(args.bundle_dir or "reproducer")
+def write_reproducer(out: str | Path, g: Graph, report: SolveReport) -> str:
+    """Write the graph, final partition, certificate and move trace to `out`."""
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "graph.txt").write_text(graphs.write_edge_list(g))
     (out / "partition.json").write_text(partition_to_json(report.partition))
@@ -87,18 +87,32 @@ def _write_reproducer(args, g, report) -> str:
     return str(out)
 
 
-def cmd_solve(args) -> int:
+def _solve_input(args, record_trace: bool = False):
+    """Load, pick the rules and solve: (graph, rules, report), or the exit code
+    of a rejected input."""
     try:
         g = _load_graph(args.input)
     except (OSError, GraphError) as exc:
-        print(f"solve: {exc}", file=sys.stderr)
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    resolved = _resolve_rules(g, args)
-    if isinstance(resolved, int):
-        return resolved
-    rules, _ = resolved
-    report = solve(g, seed=args.seed, depth=args.depth, rules=rules,
-                   record_trace=args.trace is not None)
+    rules = _resolve_rules(g, args)
+    if isinstance(rules, int):
+        return rules
+    try:
+        report = solve(g, seed=args.seed, depth=args.depth, rules=rules,
+                       record_trace=record_trace)
+    except MoveEngineError as exc:
+        # irregular inputs under forced rules may keep singletons no shift absorbs
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    return g, rules, report
+
+
+def cmd_solve(args) -> int:
+    solved = _solve_input(args, record_trace=args.trace is not None)
+    if isinstance(solved, int):
+        return solved
+    g, _, report = solved
     if args.trace:
         Path(args.trace).write_text("".join(json.dumps(t) + "\n" for t in report.trace))
     cert = report.certificate
@@ -108,7 +122,7 @@ def cmd_solve(args) -> int:
         _emit(args, f"components={report.component_count} "
                     f"cycles={report.cycle_count} verdict={cert.verdict}\n")
     if not cert.verdict:
-        where = _write_reproducer(args, g, report)
+        where = write_reproducer(args.bundle_dir or "reproducer", g, report)
         print(f"solve: certificate failed; reproducer bundle in {where}",
               file=sys.stderr)
         return EXIT_CERT_FAIL
@@ -145,46 +159,30 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    try:
-        g = _load_graph(args.input)
-    except (OSError, GraphError) as exc:
-        print(f"audit: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    resolved = _resolve_rules(g, args)
-    if isinstance(resolved, int):
-        return resolved
-    rules, _ = resolved
-    report = solve(g, seed=args.seed, depth=args.depth, rules=rules)
+    solved = _solve_input(args)
+    if isinstance(solved, int):
+        return solved
+    g, rules, report = solved
     if not report.certificate.verdict:
         print("audit: certificate failed", file=sys.stderr)
         return EXIT_CERT_FAIL
-    p = report.partition
-    ec = classify_edges(g, p)
-    vc = classify_vertices(g, p, ec)
-    ledger = apply_rules(g, p, ec, vc, rules)
-    rep = audit_block_bounds(g, p, vc, ledger, rules)
+    rep = audit_block_bounds(g, report.partition, report.vc, report.ledger, rules)
     _emit(args, json.dumps({"checks": rep.checks,
                             "violations": rep.violations}) + "\n")
     return EXIT_PASS if rep.ok() else EXIT_CERT_FAIL
 
 
 def cmd_batch(args) -> int:
+    """Run the manifest's jobs in order; each records its own exit code."""
     manifest = json.loads(Path(args.manifest).read_text())
     jobs = manifest if isinstance(manifest, list) else manifest["jobs"]
-    threads = int(os.environ.get("PATHPART_THREADS", "0")) or None
     results = []
-
-    def run(job):
-        argv = [job["command"]] + job.get("args", [])
-        code = main(argv)
-        return {"job": job, "exit": code}
-
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
+    for job in jobs:
+        try:
+            code = main([job["command"]] + job.get("args", []))
+        except SystemExit as exc:  # argparse rejected the job's arguments
+            code = exc.code
+        results.append({"job": job, "exit": code})
     sys.stdout.write("".join(json.dumps(r) + "\n" for r in results))
     return max((r["exit"] for r in results), default=EXIT_PASS)
 

@@ -12,8 +12,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .classify import (V1, V2A, V2B, V3, V4, V5, EdgeClassification,
-                       VertexClassification)
+from .classify import (V1, V2_CLASSES, V2A, V2B, V3, V4, V5,
+                       EdgeClassification, VertexClassification)
 from .graphs import Graph
 from .partition import CYCLE, PATH, PathPartition
 
@@ -197,9 +197,6 @@ class Block:
     last: bool
 
 
-V2_LABELS = (V2A, V2B)
-
-
 def decompose_blocks(classes: list[str]) -> list[Block]:
     """Scan a class-annotated path left to right into blocks.
 
@@ -215,15 +212,15 @@ def decompose_blocks(classes: list[str]) -> list[Block]:
     i = 0
     limit = len(classes) - 1
     while i < limit:
-        if classes[i] not in V2_LABELS:
+        if classes[i] not in V2_CLASSES:
             i += 1
             continue
         xs = []
-        while i < limit and classes[i] in V2_LABELS:
+        while i < limit and classes[i] in V2_CLASSES:
             xs.append(i)
             i += 1
         ps = []
-        while i < limit and classes[i] not in V2_LABELS:
+        while i < limit and classes[i] not in V2_CLASSES:
             if classes[i] != V5:
                 ps.append(i)
             i += 1

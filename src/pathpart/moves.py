@@ -262,7 +262,7 @@ def _other_end(p: PathPartition, cid: int, v: int) -> int:
     return comp.vertices[-1] if comp.vertices[0] == v else comp.vertices[0]
 
 
-def _replay_reconnection(g: Graph, bld: _Builder, w1: int, w2: int,
+def _replay_reconnection(bld: _Builder, w1: int, w2: int,
                          vc: VertexClassification, phi0: tuple) -> Move | None:
     """Turn a one-extra-component split into an improving move.
 
@@ -356,7 +356,7 @@ def find_derived_move(g: Graph, p: PathPartition, ec: EdgeClassification,
                 bld.split_at(sa, a)
                 bld.split_at(sb, b)
                 bld.join(a, b)
-                mv = _replay_reconnection(g, bld, sa, sb, vc, phi0)
+                mv = _replay_reconnection(bld, sa, sb, vc, phi0)
                 if mv:
                     return mv
     return _find_dangerous_move(g, p, ec, vc, phi0)
@@ -658,8 +658,7 @@ def _splitting_inners_move(g, p, vc, phi0, verts, i, a, b, o1, o2):
 
 # -- bounded generic search ------------------------------------------------------
 
-def find_compound_move(g: Graph, p: PathPartition, ec: EdgeClassification | None,
-                       vc: VertexClassification | None, depth: int = 4,
+def find_compound_move(g: Graph, p: PathPartition, depth: int = 4,
                        focus: set[int] | None = None,
                        node_budget: int = 20000) -> Move | None:
     """Iterative-deepening search over rewiring steps seeded at free edges

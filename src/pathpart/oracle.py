@@ -155,9 +155,3 @@ def max_linear_forest(g: Graph, cap: int = 10) -> int:
 
 def pi_p_via_linear_forest(g: Graph, cap: int = 10) -> int:
     return g.n - max_linear_forest(g, cap=cap)
-
-
-def bound_check(g: Graph, d: int, budget: int = 50_000_000, cap: int = 16):
-    """Verdict for pi_p <= floor(n/(d+1)); returns (verdict, OracleResult)."""
-    res = exact_pi_p(g, budget=budget, cap=cap)
-    return res.pi_p <= g.n // (d + 1), res

@@ -94,14 +94,6 @@ class PathPartition:
     def kind_of(self, v: int) -> str:
         return self.components[self.owner[v]].kind
 
-    def ends(self, cid: int) -> tuple[int, ...]:
-        comp = self.components[cid]
-        if comp.kind == PATH:
-            return (comp.vertices[0], comp.vertices[-1])
-        if comp.kind == SINGLETON:
-            return (comp.vertices[0],)
-        return ()
-
     def is_end(self, v: int) -> bool:
         """v is joinable as-is: a path end-vertex or a singleton."""
         comp = self.components[self.owner[v]]

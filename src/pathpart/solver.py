@@ -7,11 +7,11 @@ import time
 from dataclasses import dataclass, field
 
 from . import moves
-from .classify import classify_edges, classify_vertices
+from .classify import VertexClassification, classify_edges, classify_vertices
 from .discharge import (Certificate, PointLedger, RuleSet, apply_rules, certify,
                         ruleset_for_degree)
 from .graphs import Graph, infer_degree
-from .partition import PathPartition
+from .partition import PathPartition, validate_partition
 
 
 def initial_partition(g: Graph, seed: int = 0) -> PathPartition:
@@ -50,8 +50,7 @@ def initial_partition(g: Graph, seed: int = 0) -> PathPartition:
 @dataclass
 class SolveReport:
     partition: PathPartition
-    component_count: int
-    cycle_count: int
+    vc: VertexClassification  # the final partition's vertex classes
     move_counts: dict[str, int]
     wall_time: float
     potential_trace: list[tuple[int, int, int]]
@@ -59,6 +58,14 @@ class SolveReport:
     certificate: Certificate | None = None
     ledger: PointLedger | None = None
     escalated: bool = False
+
+    @property
+    def component_count(self) -> int:
+        return self.partition.component_count()
+
+    @property
+    def cycle_count(self) -> int:
+        return self.partition.cycle_count()
 
     def to_json(self, timings: bool = False) -> str:
         import json
@@ -75,21 +82,26 @@ class SolveReport:
 
 
 def _next_move(g, p):
+    """The first applicable move, with the classification it was found on.
+
+    When no move applies, the move is None and the classification is that of
+    the fixed point; certification reads it from there.
+    """
     mv = moves.find_basic_move(g, p)
     if mv:
-        return mv
+        return mv, None, None
     mv = moves.eliminate_singletons(g, p)
     if mv:
-        return mv
+        return mv, None, None
     ec = classify_edges(g, p)
     vc = classify_vertices(g, p, ec)
     mv = moves.find_derived_move(g, p, ec, vc)
     if mv:
-        return mv
-    return moves.find_pair_move(g, p, ec, vc)
+        return mv, ec, vc
+    return moves.find_pair_move(g, p, ec, vc), ec, vc
 
 
-def _focus_for(p, ec, failing_vertices):
+def _focus_for(ec, failing_vertices):
     focus = set(failing_vertices)
     ring = set(failing_vertices)
     for _ in range(2):
@@ -122,14 +134,14 @@ def canonicalize(g: Graph, p: PathPartition, depth: int = 4,
     step = 0
 
     def run_loop():
+        """Move to a fixed point and return its edge and vertex classification."""
         nonlocal step
         while True:
-            mv = _next_move(g, p)
+            mv, ec, vc = _next_move(g, p)
             if mv is None:
-                return
+                return ec, vc
             moves.apply_move(g, p, mv)
             if validate_each:
-                from .partition import validate_partition
                 ok, viol = validate_partition(g, p)
                 if not ok:
                     raise moves.MoveEngineError(f"invalid partition after move: {viol}")
@@ -142,19 +154,16 @@ def canonicalize(g: Graph, p: PathPartition, depth: int = 4,
                               "phi_after": list(mv.phi_after)})
             step += 1
 
-    run_loop()
-    report = SolveReport(partition=p, component_count=p.component_count(),
-                         cycle_count=p.cycle_count(), move_counts=counts,
-                         wall_time=0.0, potential_trace=phis, trace=trace)
+    ec, vc = run_loop()
+    report = SolveReport(partition=p, vc=vc, move_counts=counts, wall_time=0.0,
+                         potential_trace=phis, trace=trace)
 
     if rules is None:
         d = infer_degree(g)
         rules = ruleset_for_degree(d) if d in (5, 6) else None
-    if rules is not None and g.n:
+    if rules is not None:
         search_depth = depth
         while True:
-            ec = classify_edges(g, p)
-            vc = classify_vertices(g, p, ec)
             ledger = apply_rules(g, p, ec, vc, rules)
             cert = certify(g, p, ledger, rules)
             report.certificate = cert
@@ -162,22 +171,20 @@ def canonicalize(g: Graph, p: PathPartition, depth: int = 4,
             if cert.verdict:
                 break
             failing = [v for viol in cert.violations for v in viol["component"]]
-            focus = _focus_for(p, ec, failing)
-            mv = moves.find_compound_move(g, p, ec, vc, depth=search_depth,
-                                          focus=focus)
-            if mv is not None:
-                moves.apply_move(g, p, mv)
-                counts["compound"] = counts.get("compound", 0) + 1
-                phis.append(p.potential())
-                run_loop()
-                continue
-            if search_depth == depth:
+            focus = _focus_for(ec, failing)
+            mv = moves.find_compound_move(g, p, depth=search_depth, focus=focus)
+            if mv is None and search_depth == depth:
+                # the partition is unchanged, so only the search reruns
                 search_depth = depth + 2
                 report.escalated = True
-                continue
-            break
-    report.component_count = p.component_count()
-    report.cycle_count = p.cycle_count()
+                mv = moves.find_compound_move(g, p, depth=search_depth, focus=focus)
+            if mv is None:
+                break
+            moves.apply_move(g, p, mv)
+            counts["compound"] = counts.get("compound", 0) + 1
+            phis.append(p.potential())
+            ec, vc = run_loop()
+            report.vc = vc
     report.wall_time = time.perf_counter() - t0
     return report
 

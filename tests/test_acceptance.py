@@ -7,12 +7,11 @@ rational arithmetic unless a runtime target is stated.
 import tempfile
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from pathpart.classify import classify_edges, classify_vertices
-from pathpart.cli import main
+from pathpart.cli import main, write_reproducer
 from pathpart.discharge import apply_rules, audit_block_bounds, ruleset_for_degree
 from pathpart.graphs import (contains_k6, gen_disjoint_cliques,
                              gen_random_regular, write_edge_list)
@@ -20,18 +19,8 @@ from pathpart.moves import (apply_move, eliminate_singletons, find_basic_move,
                             find_compound_move, find_derived_move,
                             find_pair_move)
 from pathpart.oracle import exact_pi_p, pi_p_via_linear_forest
-from pathpart.partition import (PathPartition, partition_to_json,
-                                validate_partition)
+from pathpart.partition import PathPartition, validate_partition
 from pathpart.solver import canonicalize, initial_partition, solve
-
-
-def _dump_reproducer(g, report, tag):
-    out = Path(tempfile.mkdtemp(prefix=f"pathpart-repro-{tag}-"))
-    (out / "graph.txt").write_text(write_edge_list(g))
-    (out / "partition.json").write_text(partition_to_json(report.partition))
-    if report.certificate is not None:
-        (out / "certificate.json").write_text(report.certificate.to_json())
-    return out
 
 
 def test_criterion_1_tightness_of_clique_family(tmp_path):
@@ -68,7 +57,9 @@ def test_criterion_2_theorem_bound_at_desk_scale():
             elapsed = time.perf_counter() - t0
             cert = report.certificate
             if not cert.verdict or report.component_count > n // 7:
-                where = _dump_reproducer(g, report, f"c2-n{n}-s{instances}")
+                where = write_reproducer(
+                    tempfile.mkdtemp(prefix=f"pathpart-repro-c2-n{n}-s{instances}-"),
+                    g, report)
                 pytest.fail(f"criterion 2 failed on n={n} seed={instances}; "
                             f"reproducer in {where}")
             assert validate_partition(g, report.partition)[0]
@@ -151,7 +142,9 @@ def test_criterion_5_degree5_bound():
             report = solve(g, seed=seed)
             cert = report.certificate
             if not cert.verdict or report.component_count > (3 * n) // 19:
-                where = _dump_reproducer(g, report, f"c5-n{n}-s{seed}")
+                where = write_reproducer(
+                    tempfile.mkdtemp(prefix=f"pathpart-repro-c5-n{n}-s{seed}-"),
+                    g, report)
                 pytest.fail(f"criterion 5 failed on n={n} seed={seed}; "
                             f"reproducer in {where}")
             assert report.ledger.total() == Fraction(n)
@@ -220,7 +213,7 @@ def test_criterion_7_move_engine_soundness():
         while True:
             basic = find_basic_move(g, p)
             if p.singleton_count() == 0:
-                comp = find_compound_move(g, p, None, None, depth=1)
+                comp = find_compound_move(g, p, depth=1)
                 assert (basic is None) == (comp is None)
                 states += 1
             mv = basic or eliminate_singletons(g, p)

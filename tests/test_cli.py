@@ -1,9 +1,10 @@
 import json
 
 from pathpart.cli import main
-from pathpart.graphs import gen_disjoint_cliques, write_edge_list
+from pathpart.discharge import apply_rules
+from pathpart.graphs import Graph, gen_disjoint_cliques, write_edge_list
 
-from conftest import complete_graph
+from conftest import complete_graph, count_calls
 
 
 def _write(tmp_path, name, g):
@@ -83,11 +84,13 @@ def test_oracle_unknown_exit(tmp_path):
     assert main(["oracle", inst]) == 3
 
 
-def test_audit_command(tmp_path):
+def test_audit_command(tmp_path, monkeypatch):
     inst = _write(tmp_path, "inst.txt", gen_disjoint_cliques(6, 4, seed=2))
     out = tmp_path / "a.json"
+    ledgers = count_calls(monkeypatch, apply_rules)
     assert main(["audit", inst, "-o", str(out)]) == 0
     assert json.loads(out.read_text())["violations"] == []
+    assert len(ledgers) == 1  # the audit reads the solve's ledger
 
 
 def test_batch_command(tmp_path):
@@ -99,6 +102,37 @@ def test_batch_command(tmp_path):
     ]))
     assert main(["batch", str(manifest)]) == 0
     assert (tmp_path / "r1.txt").exists() and (tmp_path / "r2.txt").exists()
+
+
+def test_batch_runs_on_past_a_rejected_job(tmp_path, capsys):
+    inst = _write(tmp_path, "inst.txt", gen_disjoint_cliques(6, 2, seed=1))
+    manifest = tmp_path / "jobs.json"
+    manifest.write_text(json.dumps([
+        {"command": "solve", "args": [inst, "-o", str(tmp_path / "r1.txt")]},
+        {"command": "solve", "args": [inst, "--no-such-flag"]},
+        {"command": "audit", "args": [inst, "-o", str(tmp_path / "r3.txt")]},
+    ]))
+    assert main(["batch", str(manifest)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["exit"] for line in lines] == [0, 2, 0]
+    assert (tmp_path / "r3.txt").exists()
+
+
+def test_forced_rules_on_empty_graph_certify_vacuously(tmp_path):
+    inst = tmp_path / "empty.txt"
+    inst.write_text("0 0\n")
+    out = tmp_path / "s.json"
+    assert main(["solve", str(inst), "--rules", "d6", "--json", "-o", str(out)]) == 0
+    cert = json.loads(out.read_text().splitlines()[1])
+    assert cert["component_count"] == 0 and cert["verdict"] is True
+    assert main(["audit", str(inst), "--rules", "d6", "-o", str(tmp_path / "a.json")]) == 0
+
+
+def test_forced_rules_on_unabsorbable_singleton_is_invalid_input(tmp_path):
+    # K1,4: the greedy path takes two leaves, no shift can absorb the other two
+    inst = _write(tmp_path, "star.txt", Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]))
+    assert main(["solve", inst, "--rules", "d6"]) == 2
+    assert main(["audit", inst, "--rules", "d6"]) == 2
 
 
 def test_invalid_input_file(tmp_path):

@@ -65,7 +65,7 @@ def test_basic_none_on_disjoint_cycles():
     ec, vc = _classified(g, p)
     assert find_derived_move(g, p, ec, vc) is None
     assert find_pair_move(g, p, ec, vc) is None
-    assert find_compound_move(g, p, ec, vc, depth=4) is None
+    assert find_compound_move(g, p, depth=4) is None
 
 
 def test_basic_opens_cycle_for_path_end():
@@ -135,8 +135,7 @@ def test_derived_four_path_replacement():
 
     # the generic bounded search finds a reduction on the same instance
     p2 = PathPartition.from_lists(14, paths=paths)
-    ec2, vc2 = _classified(g, p2)
-    mv2 = find_compound_move(g, p2, ec2, vc2, depth=4)
+    mv2 = find_compound_move(g, p2, depth=4)
     assert mv2 is not None
     _apply_and_check(g, p2, mv2)
 
@@ -188,7 +187,7 @@ def test_compound_depth1_matches_basic_on_singleton_free_states():
         while True:
             basic = find_basic_move(g, p)
             if p.singleton_count() == 0:
-                comp = find_compound_move(g, p, None, None, depth=1)
+                comp = find_compound_move(g, p, depth=1)
                 assert (basic is None) == (comp is None)
                 checked += 1
             mv = basic or eliminate_singletons(g, p)

@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from pathpart.graphs import Graph, gen_disjoint_cliques, gen_random_regular
-from pathpart.oracle import (OracleUnknown, bound_check, exact_pi_p,
-                             max_linear_forest, pi_p_via_linear_forest)
+from pathpart.oracle import (OracleUnknown, exact_pi_p, max_linear_forest,
+                             pi_p_via_linear_forest)
 from pathpart.partition import validate_partition
 from pathpart.solver import solve
 
@@ -48,11 +48,6 @@ def test_size_cap_and_budget():
         exact_pi_p(complete_graph(12), budget=100)
     with pytest.raises(OracleUnknown):
         max_linear_forest(gen_random_regular(14, 6, seed=0))
-
-
-def test_bound_check_k7():
-    ok, res = bound_check(complete_graph(7), 6)
-    assert ok and res.pi_p == 1
 
 
 def test_two_oracles_agree_up_to_ten_vertices():

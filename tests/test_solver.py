@@ -1,10 +1,13 @@
 import itertools
 
+from pathpart import moves
+from pathpart.classify import classify_edges, classify_vertices
+from pathpart.discharge import RULES_D6, apply_rules, ruleset_for_degree
 from pathpart.graphs import Graph, gen_disjoint_cliques, gen_random_regular
 from pathpart.partition import PathPartition, partition_to_json, validate_partition
 from pathpart.solver import canonicalize, initial_partition, solve
 
-from conftest import complete_graph
+from conftest import complete_graph, count_calls
 
 
 def test_initial_partition_k7_single_path():
@@ -86,16 +89,38 @@ def test_solver_trace_records_moves():
         assert {"step", "move_kind", "primitives", "phi_before", "phi_after"} <= entry.keys()
 
 
+def _assert_report_matches_fresh_classification(g, report, rules):
+    p = report.partition
+    ec = classify_edges(g, p)
+    vc = classify_vertices(g, p, ec)
+    assert report.vc == vc
+    assert report.ledger == apply_rules(g, p, ec, vc, rules)
+    return ec, vc
+
+
 def test_final_partitions_are_locally_canonical():
-    from pathpart import moves
-    from pathpart.classify import classify_edges, classify_vertices
     for d, n, seed in itertools.product((6, 5), (14, 28), range(3)):
         g = gen_random_regular(n, d, seed=seed)
         report = solve(g, seed=seed)
         p = report.partition
         assert p.singleton_count() == 0
         assert moves.find_basic_move(g, p) is None
-        ec = classify_edges(g, p)
-        vc = classify_vertices(g, p, ec)
+        ec, vc = _assert_report_matches_fresh_classification(
+            g, report, ruleset_for_degree(d))
         assert moves.find_derived_move(g, p, ec, vc) is None
         assert moves.find_pair_move(g, p, ec, vc) is None
+
+
+def test_escalated_report_keeps_the_final_classification():
+    # degree-6 rules on two K6s fail at every depth, so the search escalates
+    g = gen_disjoint_cliques(5, 2, seed=0)
+    report = solve(g, seed=0, rules=RULES_D6)
+    assert report.escalated and not report.certificate.verdict
+    _assert_report_matches_fresh_classification(g, report, RULES_D6)
+
+
+def test_fixed_point_is_classified_once(monkeypatch):
+    calls = count_calls(monkeypatch, classify_edges)
+    report = solve(gen_disjoint_cliques(6, 3, seed=0), seed=0)
+    assert report.certificate.verdict
+    assert len(calls) == 1

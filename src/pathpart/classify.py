@@ -32,27 +32,26 @@ class EdgeClassification:
     free_edges: list[tuple[int, int]]
 
 
-def classify_edges(g: Graph, p: PathPartition) -> EdgeClassification:
-    """Collect the free edges.
+def edge_is_free(p: PathPartition, u: int, v: int) -> bool:
+    """Whether (u, v) is free: neither a partition edge of a path nor inside one
+    cycle (chords included). CrossCycleError if it joins two distinct cycles."""
+    cu, cv = p.owner[u], p.owner[v]
+    ku = p.components[cu].kind
+    kv = p.components[cv].kind
+    if cu == cv and ku == CYCLE:
+        return False
+    if ku == CYCLE and kv == CYCLE:
+        raise CrossCycleError((u, v))
+    return not (cu == cv and ku == PATH and p.part_adjacent(u, v))
 
-    Path edges are the partition edges of path components; cycle edges are all
-    edges inside one cycle component (chords included); the rest are free.
+
+def classify_edges(g: Graph, p: PathPartition) -> EdgeClassification:
+    """Collect the free edges, in edge order.
+
     Requires no edge between two distinct cycle components (run the solver's
-    basic moves first), otherwise CrossCycleError carries the offending edge.
+    basic moves first), otherwise CrossCycleError carries the first such edge.
     """
-    free = []
-    for e in g.edges:
-        u, v = e
-        cu, cv = p.owner[u], p.owner[v]
-        ku = p.components[cu].kind
-        kv = p.components[cv].kind
-        if cu == cv and ku == CYCLE:
-            continue
-        if ku == CYCLE and kv == CYCLE:
-            raise CrossCycleError(e)
-        if not (cu == cv and ku == PATH and p.part_adjacent(u, v)):
-            free.append(e)
-    return EdgeClassification(free_edges=free)
+    return EdgeClassification(free_edges=[e for e in g.edges if edge_is_free(p, *e)])
 
 
 @dataclass
@@ -86,50 +85,60 @@ class VertexClassification:
         return sorted(out)
 
 
-def classify_vertices(g: Graph, p: PathPartition, ec: EdgeClassification) -> VertexClassification:
-    cls = [""] * g.n
-    in_v1 = [False] * g.n
-    for comp in p.components.values():
-        if comp.kind == CYCLE:
-            for v in comp.vertices:
-                in_v1[v] = True
-        elif comp.kind == SINGLETON:
-            in_v1[comp.vertices[0]] = True
-        else:
-            in_v1[comp.vertices[0]] = True
-            in_v1[comp.vertices[-1]] = True
+def is_v1(p: PathPartition, v: int) -> bool:
+    """v is a path end, a singleton or a cycle vertex: V1, and joinable by a basic move."""
+    comp = p.components[p.owner[v]]
+    return comp.kind != PATH or v == comp.vertices[0] or v == comp.vertices[-1]
 
+
+def classify_vertices(g: Graph, p: PathPartition, ec: EdgeClassification) -> VertexClassification:
     free_nbrs: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in ec.free_edges:
         free_nbrs[u].append(v)
         free_nbrs[v].append(u)
+    vc = VertexClassification(cls=[""] * g.n)
+    reclassify(g, p, vc, free_nbrs, [False] * g.n, [False] * g.n, range(g.n))
+    return vc
 
-    is_v2 = [False] * g.n
-    for v in range(g.n):
+
+def reclassify(g: Graph, p: PathPartition, vc: VertexClassification, free_nbrs,
+               in_v1: list[bool], is_v2: list[bool], dirty) -> None:
+    """Bring `vc`, `in_v1` and `is_v2` up to date in place after the vertices in
+    `dirty` changed component, kind, end status or free edges (`free_nbrs`
+    must be current already); with every vertex dirty this classifies afresh.
+
+    Each layer reaches one hop further: V1 is a vertex's own matter, V2 and the
+    balanced targets read its free neighbours, the class reads its path
+    neighbours' V2 membership, and dangerous their heavy and moderate marks.
+    """
+    every = len(dirty) == g.n
+    for v in dirty:
+        in_v1[v] = is_v1(p, v)
+    near = dirty if every else {w for v in dirty for w in (v, *g.adj[v])}
+    for v in near:
+        is_v2[v] = _balance(p, vc, v, free_nbrs[v], in_v1)
+    wide = near if every else {w for v in near for w in (v, *p.path_neighbors(v))}
+    for v in wide:
         if in_v1[v]:
-            cls[v] = V1
-        elif any(in_v1[w] for w in free_nbrs[v]):
-            is_v2[v] = True
-
-    for v in range(g.n):
-        if cls[v] == V1:
+            vc.cls[v] = V1
             continue
         nb2 = sum(1 for w in p.path_neighbors(v) if is_v2[w])
-        if is_v2[v]:
-            cls[v] = V2B if nb2 >= 1 else V2A
-        elif nb2 == 2:
-            cls[v] = V3
-        elif nb2 == 1:
-            cls[v] = V4
-        else:
-            cls[v] = V5
+        vc.cls[v] = (V2B if nb2 else V2A) if is_v2[v] else (V5, V4, V3)[nb2]
+    for v in wide:
+        danger = False
+        if vc.cls[v] == V3:
+            a, b = p.path_neighbors(v)
+            danger = ((a in vc.heavy and b in vc.moderate)
+                      or (b in vc.heavy and a in vc.moderate))
+        (vc.dangerous.add if danger else vc.dangerous.discard)(v)
 
-    vc = VertexClassification(cls=cls)
-    for v in range(g.n):
-        if not is_v2[v]:
-            continue
-        ends, cyc, singles = [], [], []
-        for w in free_nbrs[v]:
+
+def _balance(p: PathPartition, vc: VertexClassification, v: int, free_nbrs,
+             in_v1: list[bool]) -> bool:
+    """Record v's balanced targets and its moderate and heavy marks; True when v is V2."""
+    ends, cyc, singles = [], [], []
+    if not in_v1[v]:
+        for w in free_nbrs:
             if not in_v1[w]:
                 continue
             comp = p.components[p.owner[w]]
@@ -139,19 +148,15 @@ def classify_vertices(g: Graph, p: PathPartition, ec: EdgeClassification) -> Ver
                 singles.append(w)
             else:
                 ends.append(w)
+    n_bal = len(ends) + len(cyc) + len(singles)
+    if n_bal:
         vc.balanced_path_ends[v] = sorted(ends)
         vc.balanced_cycles[v] = sorted(cyc)
         vc.balanced_singletons[v] = sorted(singles)
-        n_bal = len(ends) + len(cyc) + len(singles)
-        if len(ends) >= 1 and n_bal >= 2:
-            vc.moderate.add(v)
-        if len(ends) >= 3:
-            vc.heavy.add(v)
-
-    for v in range(g.n):
-        if cls[v] != V3:
-            continue
-        a, b = p.path_neighbors(v)
-        if (a in vc.heavy and b in vc.moderate) or (b in vc.heavy and a in vc.moderate):
-            vc.dangerous.add(v)
-    return vc
+    else:
+        vc.balanced_path_ends.pop(v, None)
+        vc.balanced_cycles.pop(v, None)
+        vc.balanced_singletons.pop(v, None)
+    (vc.moderate.add if ends and n_bal >= 2 else vc.moderate.discard)(v)
+    (vc.heavy.add if len(ends) >= 3 else vc.heavy.discard)(v)
+    return n_bal > 0

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -172,17 +174,39 @@ def cmd_audit(args) -> int:
     return EXIT_PASS if rep.ok() else EXIT_CERT_FAIL
 
 
+def _manifest_jobs(path: str) -> list[dict]:
+    """The manifest's jobs; ValueError (or OSError) says what is wrong with it."""
+    data = json.loads(Path(path).read_text())
+    jobs = data.get("jobs") if isinstance(data, dict) else data
+    if not isinstance(jobs, list):
+        raise ValueError('expected a list of jobs or {"jobs": [...]}')
+    for job in jobs:
+        if not (isinstance(job, dict) and isinstance(job.get("command"), str)
+                and isinstance(job.get("args", []), list)
+                and all(isinstance(a, str) for a in job.get("args", []))):
+            raise ValueError(f"job {json.dumps(job)} needs a string \"command\" "
+                             "and \"args\" as a list of strings")
+    return jobs
+
+
 def cmd_batch(args) -> int:
-    """Run the manifest's jobs in order; each records its own exit code."""
-    manifest = json.loads(Path(args.manifest).read_text())
-    jobs = manifest if isinstance(manifest, list) else manifest["jobs"]
+    """Run the manifest's jobs in order; each records its own exit code and
+    output, so stdout carries exactly one JSON line per job."""
+    try:
+        jobs = _manifest_jobs(args.manifest)
+    except (OSError, ValueError) as exc:
+        print(f"batch: {args.manifest}: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     results = []
     for job in jobs:
-        try:
-            code = main([job["command"]] + job.get("args", []))
-        except SystemExit as exc:  # argparse rejected the job's arguments
-            code = exc.code
-        results.append({"job": job, "exit": code})
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([job["command"]] + job.get("args", []))
+            except SystemExit as exc:  # argparse rejected the job's arguments
+                code = exc.code
+        results.append({"job": job, "exit": code,
+                        "stdout": out.getvalue(), "stderr": err.getvalue()})
     sys.stdout.write("".join(json.dumps(r) + "\n" for r in results))
     return max((r["exit"] for r in results), default=EXIT_PASS)
 

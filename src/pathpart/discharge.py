@@ -167,10 +167,8 @@ def certify(g: Graph, p: PathPartition, ledger: PointLedger, rs: RuleSet) -> Cer
         total = sum((ledger.balance[v] for v in comp.vertices), Fraction(0))
         totals.append((list(comp.vertices), comp.kind, total))
         if total < rs.threshold:
-            slice_ = sorted(
-                (t for t in ledger.transfers if t[0] in set(comp.vertices)
-                 or t[1] in set(comp.vertices)),
-            )
+            members = set(comp.vertices)
+            slice_ = sorted(t for t in ledger.transfers if t[0] in members or t[1] in members)
             violations.append({
                 "component": list(comp.vertices),
                 "kind": comp.kind,

@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .classify import EdgeClassification, VertexClassification
+from .classify import EdgeClassification, VertexClassification, is_v1
 from .graphs import Graph
 from .partition import CYCLE, PATH, SINGLETON, Component, PathPartition
 
@@ -36,7 +36,10 @@ class Move:
 
 # -- primitive application --------------------------------------------------
 
-def apply_primitive(g: Graph, p: PathPartition, prim: tuple) -> None:
+def apply_primitive(g: Graph, p: PathPartition, prim: tuple) -> set[int]:
+    """Apply one primitive in place and return the vertices it touched: the
+    split pair or the joined pair (every new piece holds one), or the whole
+    component for a close or an open."""
     op = prim[0]
     if op == "split":
         _, cid, a, b = prim
@@ -51,7 +54,8 @@ def apply_primitive(g: Graph, p: PathPartition, prim: tuple) -> None:
         p.remove(cid)
         for piece in (verts[:cut], verts[cut:]):
             p.add(Component(SINGLETON if len(piece) == 1 else PATH, piece))
-    elif op == "join":
+        return {a, b}
+    if op == "join":
         _, u, v = prim
         cu, cv = p.owner[u], p.owner[v]
         if cu == cv:
@@ -65,14 +69,16 @@ def apply_primitive(g: Graph, p: PathPartition, prim: tuple) -> None:
         if b[0] != v:
             b.reverse()
         p.add(Component(PATH, a + b))
-    elif op == "close":
+        return {u, v}
+    if op == "close":
         _, cid = prim
         comp = p.components[cid]
         verts = comp.vertices
         if comp.kind != PATH or len(verts) < 3 or not g.has_edge(verts[0], verts[-1]):
             raise MoveEngineError(f"illegal close of component {cid}")
         comp.kind = CYCLE
-    elif op == "open":
+        return set(verts)
+    if op == "open":
         _, cid, a, b = prim
         comp = p.components[cid]
         if comp.kind != CYCLE:
@@ -88,15 +94,18 @@ def apply_primitive(g: Graph, p: PathPartition, prim: tuple) -> None:
             raise MoveEngineError(f"open at non-cycle-edge ({a}, {b})")
         p.remove(cid)
         p.add(Component(PATH, [verts[(start + t) % k] for t in range(k)]))
-    else:
-        raise MoveEngineError(f"unknown primitive {prim!r}")
+        return set(verts)
+    raise MoveEngineError(f"unknown primitive {prim!r}")
 
 
-def apply_move(g: Graph, p: PathPartition, move: Move) -> None:
+def apply_move(g: Graph, p: PathPartition, move: Move) -> set[int]:
+    """Replay the move's primitives in place; returns the vertices they touched."""
+    touched: set[int] = set()
     for prim in move.primitives:
-        apply_primitive(g, p, prim)
+        touched |= apply_primitive(g, p, prim)
     if p.potential() != move.phi_after:
         raise MoveEngineError("move replay diverged from recorded potential")
+    return touched
 
 
 class _Builder:
@@ -146,32 +155,49 @@ class _Builder:
 
 # -- basic moves -------------------------------------------------------------
 
-def find_basic_move(g: Graph, p: PathPartition) -> Move | None:
-    """First component-reducing join (path ends, singletons, cycle openings,
-    two-cycle merges), else the first path closable into a cycle."""
-    phi0 = p.potential()
-    for u, v in g.edges:
-        if p.owner[u] == p.owner[v]:
-            continue
-        ku = p.components[p.owner[u]].kind
-        kv = p.components[p.owner[v]].kind
-        if not ((p.is_end(u) or ku == CYCLE) and (p.is_end(v) or kv == CYCLE)):
-            continue
+def joinable(p: PathPartition, u: int, v: int) -> bool:
+    """A basic move can join u and v: different components, both in V1."""
+    return p.owner[u] != p.owner[v] and is_v1(p, u) and is_v1(p, v)
+
+
+def closable(g: Graph, p: PathPartition, cid: int) -> bool:
+    """Component cid exists and is a path of 3 or more whose ends are adjacent."""
+    comp = p.components.get(cid)
+    return (comp is not None and comp.kind == PATH and len(comp.vertices) >= 3
+            and g.has_edge(comp.vertices[0], comp.vertices[-1]))
+
+
+def find_basic_move(g: Graph, p: PathPartition, candidates=None) -> Move | None:
+    """First component-reducing join in edge order (path ends, singletons,
+    cycle openings, two-cycle merges), else the first path by id closable into
+    a cycle.
+
+    Without `candidates` both are found by scanning E and the components. With
+    them, `candidates.first_join()` and `candidates.first_closable()` must
+    return the same edge and id (see solver.SolveState).
+    """
+    if candidates is None:
+        edge = next((e for e in g.edges if joinable(p, *e)), None)
+    else:
+        edge = candidates.first_join()
+    if edge is not None:
+        u, v = edge
         b = _Builder(g, p)
-        if ku == CYCLE:
+        if p.kind_of(u) == CYCLE:
             b.open_at(u)
-        if kv == CYCLE:
+        if p.kind_of(v) == CYCLE:
             b.open_at(v)
         b.join(u, v)
-        return b.finish("basic", phi0)
-    for cid in p.sorted_ids():
-        comp = p.components[cid]
-        if (comp.kind == PATH and len(comp.vertices) >= 3
-                and g.has_edge(comp.vertices[0], comp.vertices[-1])):
-            b = _Builder(g, p)
-            b.close_comp(cid)
-            return b.finish("basic", phi0)
-    return None
+        return b.finish("basic", p.potential())
+    if candidates is None:
+        cid = next((c for c in p.sorted_ids() if closable(g, p, c)), None)
+    else:
+        cid = candidates.first_closable()
+    if cid is None:
+        return None
+    b = _Builder(g, p)
+    b.close_comp(cid)
+    return b.finish("basic", p.potential())
 
 
 # -- singleton elimination ----------------------------------------------------
@@ -196,12 +222,11 @@ def eliminate_singletons(g: Graph, p: PathPartition,
     search explores shift sequences breadth-first until an absorbing position
     appears. Returns None when the partition has no singleton.
     """
-    singles = sorted(v for v, cid in p.owner.items()
-                     if p.components[cid].kind == SINGLETON)
-    if not singles:
+    v0 = min((c.vertices[0] for c in p.components.values() if c.kind == SINGLETON),
+             default=None)
+    if v0 is None:
         return None
     phi0 = p.potential()
-    v0 = singles[0]
     queue = deque([(p, v0, [])])
     seen = {(v0, _partition_signature(p))}
     expanded = 0

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import compress
 
 from . import moves
-from .classify import VertexClassification, classify_edges, classify_vertices
+from .classify import (V1, V2_CLASSES, CrossCycleError, EdgeClassification,
+                       VertexClassification, classify_edges, classify_vertices,
+                       edge_is_free, reclassify)
 from .discharge import (Certificate, PointLedger, RuleSet, apply_rules, certify,
                         ruleset_for_degree)
 from .graphs import Graph, infer_degree
-from .partition import PathPartition, validate_partition
+from .partition import PATH, PathPartition, validate_partition
 
 
 def initial_partition(g: Graph, seed: int = 0) -> PathPartition:
@@ -81,24 +85,122 @@ class SolveReport:
         return json.dumps(payload) + "\n"
 
 
-def _next_move(g, p):
-    """The first applicable move, with the classification it was found on.
+class SolveState:
+    """The live partition's free edges, vertex classes and basic-move candidates.
 
-    When no move applies, the move is None and the classification is that of
-    the fixed point; certification reads it from there.
+    The classification is built from scratch once, the first time a step reads
+    it: before basic moves first run out, an edge may still join two cycles,
+    which classify_edges rejects. After that, each move marks the vertices it
+    touched dirty and the next read recomputes only the region around them.
+    Join candidates are a min-heap of edge indices and closure candidates a
+    min-heap of path ids, validated lazily: a move pushes the edges at the
+    joinable vertices and the id of each path it touched, so the first valid
+    entry is the one a scan of E or of the components would find.
     """
-    mv = moves.find_basic_move(g, p)
+
+    def __init__(self, g: Graph, p: PathPartition):
+        self.g, self.p = g, p
+        self.incident: list[list[int]] = [[] for _ in range(g.n)]
+        for i, (u, v) in enumerate(g.edges):
+            self.incident[u].append(i)
+            self.incident[v].append(i)
+        self.joins = list(range(g.m))  # sorted, hence a heap
+        self.paths = sorted(cid for cid, c in p.components.items() if c.kind == PATH)
+        self.dirty: set[int] = set()
+        self.ec: EdgeClassification | None = None
+        self.vc: VertexClassification | None = None
+
+    def apply(self, mv: moves.Move) -> None:
+        touched = moves.apply_move(self.g, self.p, mv)
+        self.dirty |= touched
+        for cid in {self.p.owner[v] for v in touched}:
+            comp = self.p.components[cid]
+            joinable = comp.vertices
+            if comp.kind == PATH:
+                heapq.heappush(self.paths, cid)
+                joinable = (joinable[0], joinable[-1])
+            for v in joinable:
+                for i in self.incident[v]:
+                    heapq.heappush(self.joins, i)
+
+    def first_join(self) -> tuple[int, int] | None:
+        while self.joins:
+            edge = self.g.edges[self.joins[0]]
+            if moves.joinable(self.p, *edge):
+                return edge
+            heapq.heappop(self.joins)
+        return None
+
+    def first_closable(self) -> int | None:
+        while self.paths:
+            if moves.closable(self.g, self.p, self.paths[0]):
+                return self.paths[0]
+            heapq.heappop(self.paths)
+        return None
+
+    def classification(self) -> tuple[EdgeClassification, VertexClassification]:
+        """The live partition's edge and vertex classification; CrossCycleError
+        while an edge joins two cycles."""
+        g, p = self.g, self.p
+        if self.vc is None:
+            self.ec = classify_edges(g, p)
+            self.vc = classify_vertices(g, p, self.ec)
+            free = set(self.ec.free_edges)
+            self.free = [e in free for e in g.edges]
+            self.free_nbrs: list[set[int]] = [set() for _ in range(g.n)]
+            for u, v in free:
+                self.free_nbrs[u].add(v)
+                self.free_nbrs[v].add(u)
+            self.in_v1 = [c == V1 for c in self.vc.cls]
+            self.is_v2 = [c in V2_CLASSES for c in self.vc.cls]
+        elif self.dirty:
+            # in edge order, so a cross-cycle edge raised is the one classify_edges names
+            for i in sorted({i for v in self.dirty for i in self.incident[v]}):
+                u, v = g.edges[i]
+                free = edge_is_free(p, u, v)
+                if free != self.free[i]:
+                    self.free[i] = free
+                    op = set.add if free else set.discard
+                    op(self.free_nbrs[u], v)
+                    op(self.free_nbrs[v], u)
+            self.ec = EdgeClassification(list(compress(g.edges, self.free)))
+            reclassify(g, p, self.vc, self.free_nbrs, self.in_v1, self.is_v2, self.dirty)
+        self.dirty = set()
+        return self.ec, self.vc
+
+    def check(self) -> None:
+        """Raise MoveEngineError where the basic move or, once built, the
+        classification differs from one computed from scratch."""
+        g, p = self.g, self.p
+        if moves.find_basic_move(g, p, self) != moves.find_basic_move(g, p):
+            raise moves.MoveEngineError("basic-move candidates diverged from a scan of E")
+        if self.vc is None:
+            return
+
+        def fresh():
+            ec = classify_edges(g, p)
+            return ec, classify_vertices(g, p, ec)
+
+        if _free_edges_and_classes(self.classification) != _free_edges_and_classes(fresh):
+            raise moves.MoveEngineError("incremental classification diverged from scratch")
+
+
+def _free_edges_and_classes(classify):
+    """What `classify()` yields: its free edges and classes, or the cross-cycle edge."""
+    try:
+        ec, vc = classify()
+    except CrossCycleError as exc:
+        return exc.edge
+    return ec.free_edges, vc
+
+
+def _next_move(g: Graph, p: PathPartition, state: SolveState) -> moves.Move | None:
+    """The first applicable move, or None at a fixed point."""
+    mv = moves.find_basic_move(g, p, state) or moves.eliminate_singletons(g, p)
     if mv:
-        return mv, None, None
-    mv = moves.eliminate_singletons(g, p)
-    if mv:
-        return mv, None, None
-    ec = classify_edges(g, p)
-    vc = classify_vertices(g, p, ec)
-    mv = moves.find_derived_move(g, p, ec, vc)
-    if mv:
-        return mv, ec, vc
-    return moves.find_pair_move(g, p, ec, vc), ec, vc
+        return mv
+    ec, vc = state.classification()
+    return moves.find_derived_move(g, p, ec, vc) or moves.find_pair_move(g, p, ec, vc)
 
 
 def _focus_for(ec, failing_vertices):
@@ -124,7 +226,9 @@ def canonicalize(g: Graph, p: PathPartition, depth: int = 4,
     Move priority: basic, singleton elimination, derived, pair exchange. If
     certification fails, a bounded compound search focused on the failing
     components runs at `depth`, escalating once to depth+2, before giving up
-    and reporting the failing certificate.
+    and reporting the failing certificate. With `validate_each`, every move
+    of the loop is followed by a partition validity check and
+    `SolveState.check`.
     """
     t0 = time.perf_counter()
     p = p.copy()
@@ -132,19 +236,21 @@ def canonicalize(g: Graph, p: PathPartition, depth: int = 4,
     phis = [p.potential()]
     trace: list[dict] = []
     step = 0
+    state = SolveState(g, p)
 
     def run_loop():
         """Move to a fixed point and return its edge and vertex classification."""
         nonlocal step
         while True:
-            mv, ec, vc = _next_move(g, p)
+            mv = _next_move(g, p, state)
             if mv is None:
-                return ec, vc
-            moves.apply_move(g, p, mv)
+                return state.classification()
+            state.apply(mv)
             if validate_each:
                 ok, viol = validate_partition(g, p)
                 if not ok:
                     raise moves.MoveEngineError(f"invalid partition after move: {viol}")
+                state.check()
             counts[mv.kind] = counts.get(mv.kind, 0) + 1
             phis.append(p.potential())
             if record_trace:
@@ -180,7 +286,7 @@ def canonicalize(g: Graph, p: PathPartition, depth: int = 4,
                 mv = moves.find_compound_move(g, p, depth=search_depth, focus=focus)
             if mv is None:
                 break
-            moves.apply_move(g, p, mv)
+            state.apply(mv)
             counts["compound"] = counts.get("compound", 0) + 1
             phis.append(p.potential())
             ec, vc = run_loop()

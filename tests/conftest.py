@@ -3,8 +3,13 @@ from __future__ import annotations
 import sys
 
 import pytest
+from hypothesis import settings
 
 from pathpart.graphs import Graph
+
+# a fixed example sequence and no time limit keep the property tests reproducible
+settings.register_profile("pathpart", derandomize=True, deadline=None, database=None)
+settings.load_profile("pathpart")
 
 PETERSEN_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
                   (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),

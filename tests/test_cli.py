@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pathpart.cli import main
 from pathpart.discharge import apply_rules
 from pathpart.graphs import Graph, gen_disjoint_cliques, write_edge_list
@@ -113,9 +115,40 @@ def test_batch_runs_on_past_a_rejected_job(tmp_path, capsys):
         {"command": "audit", "args": [inst, "-o", str(tmp_path / "r3.txt")]},
     ]))
     assert main(["batch", str(manifest)]) == 2
-    lines = capsys.readouterr().out.splitlines()
-    assert [json.loads(line)["exit"] for line in lines] == [0, 2, 0]
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["exit"] for r in records] == [0, 2, 0]
+    assert "unrecognized arguments: --no-such-flag" in records[1]["stderr"]
     assert (tmp_path / "r3.txt").exists()
+
+
+def test_batch_stdout_is_one_json_line_per_job(tmp_path, capsys):
+    inst = _write(tmp_path, "inst.txt", gen_disjoint_cliques(6, 2, seed=1))
+    manifest = tmp_path / "jobs.json"
+    manifest.write_text(json.dumps([
+        {"command": "solve", "args": [inst, "--json"]},
+        {"command": "audit", "args": [inst]},
+    ]))
+    assert main(["batch", str(manifest)]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["job"]["command"] for r in records] == ["solve", "audit"]
+    report, cert = map(json.loads, records[0]["stdout"].splitlines())
+    assert report["component_count"] == 2 and cert["verdict"] is True
+    assert json.loads(records[1]["stdout"])["violations"] == []
+
+
+@pytest.mark.parametrize("manifest", [
+    '[{"args": []}]',
+    '[{"command": "solve", "args": ["g.txt"',
+    None,
+    '[{"command": "solve", "args": "g.txt"}]',
+], ids=["no-command", "truncated-json", "missing-file", "args-not-a-list"])
+def test_batch_rejects_a_malformed_manifest(tmp_path, capsys, manifest):
+    path = tmp_path / "jobs.json"
+    if manifest is not None:
+        path.write_text(manifest)
+    assert main(["batch", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("batch: ")
 
 
 def test_forced_rules_on_empty_graph_certify_vacuously(tmp_path):

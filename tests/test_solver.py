@@ -120,7 +120,18 @@ def test_escalated_report_keeps_the_final_classification():
 
 
 def test_fixed_point_is_classified_once(monkeypatch):
+    # the random graph needs derived moves, each of which reads the classification
     calls = count_calls(monkeypatch, classify_edges)
-    report = solve(gen_disjoint_cliques(6, 3, seed=0), seed=0)
+    for g in (gen_disjoint_cliques(6, 3, seed=0), gen_random_regular(200, 6, seed=4)):
+        calls.clear()
+        report = solve(g, seed=0)
+        assert report.certificate.verdict
+        assert len(calls) == 1
+
+
+def test_checked_solve_from_singletons():
+    g = gen_random_regular(60, 6, seed=8)
+    p = PathPartition.from_lists(g.n, singletons=range(g.n))
+    report = canonicalize(g, p, validate_each=True)
     assert report.certificate.verdict
-    assert len(calls) == 1
+    assert report.move_counts.get("derived")

@@ -24,7 +24,19 @@ EXIT_UNKNOWN = 3
 
 
 def _load_graph(path: str) -> Graph:
-    return graphs.read_edge_list(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: not {exc.encoding} text "
+                         f"({exc.reason} at byte {exc.start})") from None
+    return graphs.read_edge_list(text)
+
+
+def _parse_offsets(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise GraphError(f"--offsets must be comma-separated integers, got {text!r}") from None
 
 
 def _emit(args, text: str) -> None:
@@ -42,8 +54,7 @@ def cmd_gen(args) -> int:
             g = graphs.gen_random_regular(args.n, args.d, seed=args.seed,
                                           restarts=args.restarts)
         elif args.circulant:
-            offsets = [int(x) for x in args.offsets.split(",")]
-            g = graphs.gen_circulant(args.n, offsets)
+            g = graphs.gen_circulant(args.n, _parse_offsets(args.offsets))
         elif args.bipartite:
             g = graphs.gen_complete_bipartite(args.d)
         else:

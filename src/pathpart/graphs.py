@@ -120,6 +120,8 @@ def gen_random_regular(n: int, d: int, seed: int = 0, restarts: int | None = Non
     seed. Raises GenerationError when the restart budget runs out (infeasible
     or unlucky parameters).
     """
+    if d < 0:
+        raise GraphError(f"need d >= 0, got d={d}")
     if n * d % 2 != 0:
         raise GraphError(f"n*d must be even, got n={n}, d={d}")
     if d > 0 and n < d + 1:
@@ -154,6 +156,8 @@ def gen_random_regular(n: int, d: int, seed: int = 0, restarts: int | None = Non
 
 def gen_circulant(n: int, offsets: list[int]) -> Graph:
     """Circulant graph C_n(offsets); offset n/2 contributes one edge per vertex pair."""
+    if n < 1:
+        raise GraphError(f"need n >= 1, got n={n}")
     edges = set()
     for s in offsets:
         s %= n

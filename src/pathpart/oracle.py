@@ -22,10 +22,15 @@ class OracleResult:
 def exact_pi_p(g: Graph, budget: int = 50_000_000, cap: int = 16) -> OracleResult:
     """Minimum number of vertex-disjoint paths covering the graph, by subset DP.
 
-    endpoints[S] holds the possible final vertices of a single path covering
-    exactly S; cover[S] is the fewest paths partitioning S, assembled from
-    path-subsets that contain S's lowest vertex. Isolated vertices count as
-    paths of size one.
+    cover[S] is the fewest paths partitioning S and ends[S] the bitmask of
+    vertices that end a path (or are a singleton) in some such cover. Over the
+    subsets in increasing order, cover[S] is the minimum over w in S of
+    cover[S - w], plus one unless w is adjacent to a vertex of ends[S - w]:
+    attaching w to such an end costs no path, and splitting a cover at a
+    vertex no optimal cover ends at costs one path, the same as leaving w
+    alone. ends[S] is the set of w that reach the minimum. Isolated vertices
+    count as paths of size one. `explored` counts the (S, w) transitions,
+    n * 2^(n-1) on a completed run; the budget is checked once per subset.
     """
     n = g.n
     if n > cap:
@@ -33,57 +38,49 @@ def exact_pi_p(g: Graph, budget: int = 50_000_000, cap: int = 16) -> OracleResul
     if n == 0:
         return OracleResult(0, PathPartition.from_lists(0), 0)
     full = (1 << n) - 1
-    adj = [0] * n
+    adj = {1 << v: 0 for v in range(n)}  # vertex bit -> neighbour bitmask
     for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+        adj[1 << u] |= 1 << v
+        adj[1 << v] |= 1 << u
 
     explored = 0
-    endpoints = [0] * (full + 1)
-    for v in range(n):
-        endpoints[1 << v] = 1 << v
+    cover = [0] * (full + 1)
+    ends = [0] * (full + 1)
     for s in range(1, full + 1):
-        ep = endpoints[s]
-        if not ep:
-            continue
-        rest = ep
+        best = n + 1
+        best_ends = 0
+        rest = s
         while rest:
-            vbit = rest & -rest
-            rest ^= vbit
-            v = vbit.bit_length() - 1
-            grow = adj[v] & ~s
-            while grow:
-                wbit = grow & -grow
-                grow ^= wbit
-                endpoints[s | wbit] |= wbit
-                explored += 1
-                if explored > budget:
-                    raise OracleUnknown("single-path DP budget exceeded")
+            wbit = rest & -rest
+            rest ^= wbit
+            t = s ^ wbit
+            c = cover[t] if adj[wbit] & ends[t] else cover[t] + 1
+            if c < best:
+                best, best_ends = c, wbit
+            elif c == best:
+                best_ends |= wbit
+        cover[s] = best
+        ends[s] = best_ends
+        explored += s.bit_count()
+        if explored > budget:
+            raise OracleUnknown("subset DP budget exceeded")
 
-    INF = n + 1
-    cover = [INF] * (full + 1)
-    cover[0] = 0
-    best_piece = [0] * (full + 1)
-    for s in range(1, full + 1):
-        low = s & -s
-        sub = s
-        while sub:
-            if sub & low and endpoints[sub]:
-                cand = cover[s ^ sub] + 1
-                if cand < cover[s] or (cand == cover[s] and sub < best_piece[s]):
-                    cover[s] = cand
-                    best_piece[s] = sub
-            explored += 1
-            if explored > budget:
-                raise OracleUnknown("cover DP budget exceeded")
-            sub = (sub - 1) & s
-
+    # peel an optimal cover off `full`: start each path at the lowest end and
+    # extend it to a neighbour that ends an optimal cover of what remains; as
+    # the current vertex is in ends[s], such a step keeps cover[s] unchanged
     paths = []
     s = full
     while s:
-        piece = best_piece[s]
-        paths.append(_reconstruct_path(adj, piece, endpoints))
-        s ^= piece
+        wbit = ends[s] & -ends[s]
+        seq = []
+        while True:
+            seq.append(wbit.bit_length() - 1)
+            s ^= wbit
+            nxt = adj[wbit] & ends[s]
+            if not nxt:
+                break
+            wbit = nxt & -nxt
+        paths.append(seq)
     paths.sort()
     witness = PathPartition.from_lists(
         n,
@@ -91,21 +88,6 @@ def exact_pi_p(g: Graph, budget: int = 50_000_000, cap: int = 16) -> OracleResul
         singletons=[seq[0] for seq in paths if len(seq) == 1],
     )
     return OracleResult(cover[full], witness, explored)
-
-
-def _reconstruct_path(adj, piece: int, endpoints) -> list[int]:
-    """Lexicographically smallest endpoint first, then smallest predecessor."""
-    ep = endpoints[piece]
-    end = (ep & -ep).bit_length() - 1
-    seq = [end]
-    s = piece
-    v = end
-    while s != (1 << v):
-        s ^= 1 << v
-        prevs = adj[v] & s & endpoints[s]
-        v = (prevs & -prevs).bit_length() - 1
-        seq.append(v)
-    return seq
 
 
 def max_linear_forest(g: Graph, cap: int = 10) -> int:

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import sys
+from functools import lru_cache
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
-from pathpart.graphs import Graph
+from pathpart import moves
+from pathpart.graphs import Graph, gen_random_regular
+from pathpart.partition import CYCLE, PATH, PathPartition
+from pathpart.solver import initial_partition
 
 # a fixed example sequence and no time limit keep the property tests reproducible
 settings.register_profile("pathpart", derandomize=True, deadline=None, database=None)
@@ -38,3 +43,47 @@ def count_calls(monkeypatch, func) -> list:
         if name.split(".")[0] == "pathpart" and getattr(module, func.__name__, None) is func:
             monkeypatch.setattr(module, func.__name__, counted)
     return calls
+
+
+@st.composite
+def simple_graphs(draw, max_n: int) -> Graph:
+    """Any simple graph on at most max_n vertices: disconnected, sparse or dense."""
+    n = draw(st.integers(0, max_n), label="n")
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()), label="edges")
+    return Graph(n, edges)
+
+
+@lru_cache(maxsize=None)
+def regular_graph(n: int, d: int, seed: int) -> Graph:
+    return gen_random_regular(n, d, seed=seed)
+
+
+def draw_start(data) -> tuple[Graph, PathPartition]:
+    """A random regular graph with d in 3..6 and n <= 20, and either its greedy
+    partition or all singletons."""
+    d = data.draw(st.integers(3, 6), label="d")
+    n = data.draw(st.integers(d + 1, 20), label="n")
+    n -= n * d % 2
+    g = regular_graph(n, d, data.draw(st.integers(0, 3), label="seed"))
+    if data.draw(st.booleans(), label="greedy start"):
+        return g, initial_partition(g, seed=0)
+    return g, PathPartition.from_lists(n, singletons=range(n))
+
+
+def legal_primitives(g: Graph, p: PathPartition) -> list[tuple]:
+    """Splits at consecutive pairs, joins of two ends along an edge, closes of
+    paths with adjacent ends, and opens at cycle edges."""
+    prims = []
+    for cid in p.sorted_ids():
+        comp = p.components[cid]
+        verts = comp.vertices
+        if comp.kind == PATH:
+            prims += [("split", cid, a, b) for a, b in zip(verts, verts[1:])]
+            if moves.closable(g, p, cid):
+                prims.append(("close", cid))
+        elif comp.kind == CYCLE:
+            prims += [("open", cid, a, b) for a, b in zip(verts, verts[1:] + verts[:1])]
+    prims += [("join", u, v) for u, v in g.edges
+              if p.owner[u] != p.owner[v] and p.is_end(u) and p.is_end(v)]
+    return prims

@@ -118,6 +118,32 @@ def test_criterion_4_oracle_agreement():
           f"{agreements} dual-oracle agreements")
 
 
+def test_oracle_gap_at_13_to_16_vertices():
+    """Random 6-regular graphs at 13 <= n <= 16, K6-free 5-regular ones at
+    12 <= n <= 16 and two disjoint K7s against the exact oracle: the heuristic
+    never beats pi_p, pi_p meets the count bound and the witness is valid."""
+    cases = [(gen_random_regular(n, 6, seed=seed), n // 7, seed)
+             for n in range(13, 17) for seed in range(3)]
+    for n in (12, 14, 16):
+        seeds = [s for s in range(10)
+                 if contains_k6(gen_random_regular(n, 5, seed=s)) is None][:3]
+        cases += [(gen_random_regular(n, 5, seed=s), 3 * n // 19, s) for s in seeds]
+    cases.append((gen_disjoint_cliques(6, 2, seed=0), 2, 0))
+    gaps = []
+    for g, bound, seed in cases:
+        res = exact_pi_p(g)
+        heuristic = solve(g, seed=seed).component_count
+        assert heuristic >= res.pi_p
+        assert res.pi_p <= bound
+        ok, violations = validate_partition(g, res.witness)
+        assert ok, violations
+        assert res.witness.component_count() == res.pi_p
+        gaps.append(heuristic - res.pi_p)
+    assert len(cases) == 22
+    print(f"\nORACLE GAP: {len(cases)} instances at 12 <= n <= 16, "
+          f"heuristic - pi_p = {sorted(set(gaps))}")
+
+
 SIZES_D5 = ((12, 50), (20, 50), (50, 40), (100, 30), (250, 20), (500, 10))
 
 

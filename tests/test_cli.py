@@ -1,12 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pathpart.cli import main
 from pathpart.discharge import apply_rules
 from pathpart.graphs import Graph, gen_disjoint_cliques, write_edge_list
 
-from conftest import complete_graph, count_calls
+from conftest import complete_graph, count_calls, simple_graphs
+
+NOT_UTF8 = b"3 1\n0 1\xff\n"
 
 
 def _write(tmp_path, name, g):
@@ -32,6 +35,16 @@ def test_gen_random(tmp_path):
 def test_gen_rejects_odd_parity(tmp_path):
     out = tmp_path / "x.txt"
     assert main(["gen", "--random", "--n", "9", "--d", "5", "-o", str(out)]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["--circulant", "--offsets", "1,x"],
+    ["--circulant", "--n", "0"],
+    ["--random", "--n", "10", "--d", "-2"],
+], ids=["bad-offsets", "circulant-n0", "negative-degree"])
+def test_gen_rejects_bad_arguments(tmp_path, capsys, args):
+    assert main(["gen", *args, "-o", str(tmp_path / "x.txt")]) == 2
+    assert capsys.readouterr().err.startswith("gen: ")
 
 
 def test_solve_cliques_passes(tmp_path):
@@ -173,3 +186,47 @@ def test_invalid_input_file(tmp_path):
     bad.write_text("2 1\n0 0\n")
     assert main(["solve", str(bad)]) == 2
     assert main(["solve", str(tmp_path / "missing.txt")]) == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "audit"])
+def test_non_utf8_input_is_invalid(tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    assert main([command, str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"{command}: ")
+
+
+def test_batch_runs_on_past_a_non_utf8_input(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    inst = _write(tmp_path, "inst.txt", gen_disjoint_cliques(6, 2, seed=1))
+    manifest = tmp_path / "jobs.json"
+    manifest.write_text(json.dumps([
+        {"command": "solve", "args": [str(bad)]},
+        {"command": "solve", "args": [inst]},
+    ]))
+    assert main(["batch", str(manifest)]) == 2
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["exit"] for r in records] == [2, 0]
+    assert records[0]["stderr"].startswith("solve: ")
+
+
+def _truncated(text: str, cut: int) -> bytes:
+    return text.encode()[:cut]
+
+
+MALFORMED = st.one_of(
+    st.binary(max_size=64),
+    st.builds(_truncated, simple_graphs(8).map(write_edge_list), st.integers(0, 80)),
+    st.builds(lambda head, g: head.encode() + write_edge_list(g).partition("\n")[2].encode(),
+              st.text(max_size=12) | st.sampled_from(["", "3", "3 1 1", "-1 0", "x y", "2 -1"]),
+              simple_graphs(8)),
+)
+
+
+@given(MALFORMED)
+def test_cli_on_malformed_input_ends_in_an_exit_code(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("malformed") / "g.txt"
+    path.write_bytes(content)
+    for command in ("solve", "oracle", "audit"):
+        assert main([command, str(path)]) in (0, 1, 2, 3)

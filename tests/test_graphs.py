@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given
 
 from pathpart.graphs import (EdgeListParseError, GenerationError, Graph,
                              GraphError, contains_k6, gen_circulant,
@@ -6,7 +7,7 @@ from pathpart.graphs import (EdgeListParseError, GenerationError, Graph,
                              gen_random_regular, infer_degree, read_edge_list,
                              validate_regular, write_edge_list)
 
-from conftest import complete_graph
+from conftest import complete_graph, simple_graphs
 
 
 def test_validate_regular_k7():
@@ -86,6 +87,11 @@ def test_edge_list_round_trip():
     text = write_edge_list(g)
     assert write_edge_list(read_edge_list(text)) == text
     assert text.endswith("\n")
+
+
+@given(simple_graphs(12))
+def test_edge_list_round_trip_any_graph(g):
+    assert read_edge_list(write_edge_list(g)) == g
 
 
 def test_read_edge_list_accepts_bytes_and_unsorted():

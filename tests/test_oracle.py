@@ -1,14 +1,27 @@
 import itertools
 
 import pytest
+from hypothesis import example, given
 
 from pathpart.graphs import Graph, gen_disjoint_cliques, gen_random_regular
 from pathpart.oracle import (OracleUnknown, exact_pi_p, max_linear_forest,
                              pi_p_via_linear_forest)
-from pathpart.partition import validate_partition
+from pathpart.partition import partition_to_json, validate_partition
 from pathpart.solver import solve
 
-from conftest import complete_graph
+from conftest import complete_graph, simple_graphs
+
+
+def _spider(legs: int, length: int) -> Graph:
+    """legs paths of `length` edges hanging off vertex 0."""
+    edges = []
+    for leg in range(legs):
+        prev = 0
+        for i in range(length):
+            v = 1 + leg * length + i
+            edges.append((prev, v))
+            prev = v
+    return Graph(1 + legs * length, edges)
 
 
 def test_k7_is_traceable():
@@ -74,5 +87,23 @@ def test_witness_deterministic():
     g = gen_random_regular(10, 6, seed=7)
     a = exact_pi_p(g).witness
     b = exact_pi_p(g).witness
-    from pathpart.partition import partition_to_json
     assert partition_to_json(a) == partition_to_json(b)
+
+
+# stars, spiders and forests are where an optimal cover splits at an interior vertex
+@given(simple_graphs(10))
+@example(Graph(0, []))
+@example(Graph(6, []))
+@example(Graph(6, [(0, i) for i in range(1, 6)]))
+@example(_spider(3, 2))
+@example(_spider(4, 2))
+@example(Graph(10, _spider(3, 2).edges + ((7, 8), (8, 9), (7, 9))))
+@example(Graph(10, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6), (5, 7), (5, 8)]))
+def test_exact_pi_p_matches_linear_forest(g):
+    res = exact_pi_p(g)
+    assert res.pi_p == pi_p_via_linear_forest(g)
+    ok, violations = validate_partition(g, res.witness)
+    assert ok, violations
+    assert res.witness.component_count() == res.pi_p
+    assert partition_to_json(exact_pi_p(g).witness) == partition_to_json(res.witness)
+    assert res.explored == g.n * 2 ** g.n // 2

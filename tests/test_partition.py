@@ -1,8 +1,11 @@
+from hypothesis import given, strategies as st
+
+from pathpart import moves
 from pathpart.graphs import gen_disjoint_cliques
 from pathpart.partition import (Component, PathPartition, partition_from_json,
                                 partition_to_json, validate_partition)
 
-from conftest import complete_graph
+from conftest import complete_graph, draw_start, legal_primitives
 
 
 def test_hamiltonian_path_on_k7_is_valid():
@@ -72,6 +75,16 @@ def test_json_round_trip_and_cycle_canonicalization():
     q = partition_from_json(9, text)
     assert partition_to_json(q) == text
     assert text.endswith("\n")
+
+
+@given(st.data())
+def test_json_round_trip_under_random_primitives(data):
+    g, p = draw_start(data)
+    for _ in range(data.draw(st.integers(1, 30), label="steps")):
+        moves.apply_primitive(g, p, data.draw(st.sampled_from(legal_primitives(g, p)),
+                                              label="primitive"))
+        text = partition_to_json(p)
+        assert partition_to_json(partition_from_json(g.n, text)) == text
 
 
 def test_copy_is_independent():

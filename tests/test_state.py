@@ -1,38 +1,14 @@
 """Property tests: the solver's incremental SolveState against from-scratch
 classification and the full basic-move scan, under random legal primitives."""
 
-from functools import lru_cache
-
 from hypothesis import given, strategies as st
 
 from pathpart import moves
 from pathpart.classify import CrossCycleError, classify_edges, classify_vertices
-from pathpart.graphs import gen_random_regular
-from pathpart.partition import CYCLE, PATH, PathPartition, validate_partition
-from pathpart.solver import SolveState, initial_partition
+from pathpart.partition import validate_partition
+from pathpart.solver import SolveState
 
-
-@lru_cache(maxsize=None)
-def _graph(n, d, seed):
-    return gen_random_regular(n, d, seed=seed)
-
-
-def _legal_primitives(g, p):
-    """Splits at consecutive pairs, joins of two ends along an edge, closes of
-    paths with adjacent ends, and opens at cycle edges."""
-    prims = []
-    for cid in p.sorted_ids():
-        comp = p.components[cid]
-        verts = comp.vertices
-        if comp.kind == PATH:
-            prims += [("split", cid, a, b) for a, b in zip(verts, verts[1:])]
-            if moves.closable(g, p, cid):
-                prims.append(("close", cid))
-        elif comp.kind == CYCLE:
-            prims += [("open", cid, a, b) for a, b in zip(verts, verts[1:] + verts[:1])]
-    prims += [("join", u, v) for u, v in g.edges
-              if p.owner[u] != p.owner[v] and p.is_end(u) and p.is_end(v)]
-    return prims
+from conftest import draw_start, legal_primitives
 
 
 def _fresh(g, p):
@@ -53,17 +29,10 @@ def _incremental(state):
 
 @given(st.data())
 def test_state_tracks_random_primitives(data):
-    d = data.draw(st.integers(3, 6), label="d")
-    n = data.draw(st.integers(d + 1, 20), label="n")
-    n -= n * d % 2
-    g = _graph(n, d, data.draw(st.integers(0, 3), label="seed"))
-    if data.draw(st.booleans(), label="greedy start"):
-        p = initial_partition(g, seed=0)
-    else:
-        p = PathPartition.from_lists(n, singletons=range(n))
+    g, p = draw_start(data)
     state = SolveState(g, p)
     for _ in range(data.draw(st.integers(1, 30), label="steps")):
-        prim = data.draw(st.sampled_from(_legal_primitives(g, p)), label="primitive")
+        prim = data.draw(st.sampled_from(legal_primitives(g, p)), label="primitive")
         after = p.copy()
         moves.apply_primitive(g, after, prim)
         state.apply(moves.Move("random", [prim], p.potential(), after.potential()))

@@ -25,13 +25,6 @@ class CrossCycleError(ValueError):
         self.edge = edge
 
 
-@dataclass
-class EdgeClassification:
-    """The free edges of E: those that are neither path nor cycle edges."""
-
-    free_edges: list[tuple[int, int]]
-
-
 def edge_is_free(p: PathPartition, u: int, v: int) -> bool:
     """Whether (u, v) is free: neither a partition edge of a path nor inside one
     cycle (chords included). CrossCycleError if it joins two distinct cycles."""
@@ -45,13 +38,19 @@ def edge_is_free(p: PathPartition, u: int, v: int) -> bool:
     return not (cu == cv and ku == PATH and p.part_adjacent(u, v))
 
 
-def classify_edges(g: Graph, p: PathPartition) -> EdgeClassification:
-    """Collect the free edges, in edge order.
+def classify_edges(g: Graph, p: PathPartition) -> list[list[int]]:
+    """Each vertex's free neighbours, ascending.
 
     Requires no edge between two distinct cycle components (run the solver's
-    basic moves first), otherwise CrossCycleError carries the first such edge.
+    basic moves first), otherwise CrossCycleError carries the first such edge
+    in edge order.
     """
-    return EdgeClassification(free_edges=[e for e in g.edges if edge_is_free(p, *e)])
+    free_nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        if edge_is_free(p, u, v):
+            free_nbrs[u].append(v)
+            free_nbrs[v].append(u)
+    return free_nbrs
 
 
 @dataclass
@@ -63,10 +62,12 @@ class VertexClassification:
     whether a path neighbor is also V2. V3/V4: path vertices with two/exactly
     one path neighbor in V2. V5: the rest. A balanced edge is a free edge
     joining V2 to V1; each V2 vertex carries its balanced targets split by
-    what they land on.
+    what they land on, and only V2 vertices have entries in those dicts.
+    `free_nbrs` lists each vertex's free neighbours in ascending order.
     """
 
     cls: list[str]
+    free_nbrs: list[list[int]]
     balanced_path_ends: dict[int, list[int]] = field(default_factory=dict)
     balanced_cycles: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     balanced_singletons: dict[int, list[int]] = field(default_factory=dict)
@@ -76,6 +77,13 @@ class VertexClassification:
 
     def is_v2(self, v: int) -> bool:
         return self.cls[v] in V2_CLASSES
+
+    def free_edges(self):
+        """The free edges (u, v), u < v, in edge order, generated lazily."""
+        for u, nbrs in enumerate(self.free_nbrs):
+            for v in nbrs:
+                if v > u:
+                    yield u, v
 
     def balanced_targets(self, v: int) -> list[int]:
         """All balanced targets of a V2 vertex, sorted."""
@@ -91,39 +99,35 @@ def is_v1(p: PathPartition, v: int) -> bool:
     return comp.kind != PATH or v == comp.vertices[0] or v == comp.vertices[-1]
 
 
-def classify_vertices(g: Graph, p: PathPartition, ec: EdgeClassification) -> VertexClassification:
-    free_nbrs: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in ec.free_edges:
-        free_nbrs[u].append(v)
-        free_nbrs[v].append(u)
-    vc = VertexClassification(cls=[""] * g.n)
-    reclassify(g, p, vc, free_nbrs, [False] * g.n, [False] * g.n, range(g.n))
+def classify_vertices(g: Graph, p: PathPartition,
+                      free_nbrs: list[list[int]]) -> VertexClassification:
+    """Classify every vertex, given `classify_edges`' free-neighbour lists."""
+    vc = VertexClassification(cls=[""] * g.n, free_nbrs=free_nbrs)
+    reclassify(g, p, vc, range(g.n))
     return vc
 
 
-def reclassify(g: Graph, p: PathPartition, vc: VertexClassification, free_nbrs,
-               in_v1: list[bool], is_v2: list[bool], dirty) -> None:
-    """Bring `vc`, `in_v1` and `is_v2` up to date in place after the vertices in
-    `dirty` changed component, kind, end status or free edges (`free_nbrs`
-    must be current already); with every vertex dirty this classifies afresh.
+def reclassify(g: Graph, p: PathPartition, vc: VertexClassification, dirty) -> None:
+    """Bring `vc` up to date in place after the vertices in `dirty` changed
+    component, kind, end status or free edges (`vc.free_nbrs` must be current
+    already); with every vertex dirty this classifies afresh.
 
     Each layer reaches one hop further: V1 is a vertex's own matter, V2 and the
     balanced targets read its free neighbours, the class reads its path
     neighbours' V2 membership, and dangerous their heavy and moderate marks.
     """
     every = len(dirty) == g.n
-    for v in dirty:
-        in_v1[v] = is_v1(p, v)
     near = dirty if every else {w for v in dirty for w in (v, *g.adj[v])}
     for v in near:
-        is_v2[v] = _balance(p, vc, v, free_nbrs[v], in_v1)
+        _balance(p, vc, v)
+    v2 = vc.balanced_path_ends  # keyed by exactly the V2 vertices
     wide = near if every else {w for v in near for w in (v, *p.path_neighbors(v))}
     for v in wide:
-        if in_v1[v]:
+        if is_v1(p, v):
             vc.cls[v] = V1
             continue
-        nb2 = sum(1 for w in p.path_neighbors(v) if is_v2[w])
-        vc.cls[v] = (V2B if nb2 else V2A) if is_v2[v] else (V5, V4, V3)[nb2]
+        nb2 = sum(1 for w in p.path_neighbors(v) if w in v2)
+        vc.cls[v] = (V2B if nb2 else V2A) if v in v2 else (V5, V4, V3)[nb2]
     for v in wide:
         danger = False
         if vc.cls[v] == V3:
@@ -133,13 +137,12 @@ def reclassify(g: Graph, p: PathPartition, vc: VertexClassification, free_nbrs,
         (vc.dangerous.add if danger else vc.dangerous.discard)(v)
 
 
-def _balance(p: PathPartition, vc: VertexClassification, v: int, free_nbrs,
-             in_v1: list[bool]) -> bool:
-    """Record v's balanced targets and its moderate and heavy marks; True when v is V2."""
+def _balance(p: PathPartition, vc: VertexClassification, v: int) -> None:
+    """Record v's balanced targets and its moderate and heavy marks."""
     ends, cyc, singles = [], [], []
-    if not in_v1[v]:
-        for w in free_nbrs:
-            if not in_v1[w]:
+    if not is_v1(p, v):
+        for w in vc.free_nbrs[v]:
+            if not is_v1(p, w):
                 continue
             comp = p.components[p.owner[w]]
             if comp.kind == CYCLE:
@@ -159,4 +162,3 @@ def _balance(p: PathPartition, vc: VertexClassification, v: int, free_nbrs,
         vc.balanced_singletons.pop(v, None)
     (vc.moderate.add if ends and n_bal >= 2 else vc.moderate.discard)(v)
     (vc.heavy.add if len(ends) >= 3 else vc.heavy.discard)(v)
-    return n_bal > 0

@@ -12,8 +12,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .classify import (V1, V2_CLASSES, V2A, V2B, V3, V4, V5,
-                       EdgeClassification, VertexClassification)
+from .classify import V1, V2_CLASSES, V2A, V2B, V3, V4, V5, VertexClassification
 from .graphs import Graph
 from .partition import CYCLE, PATH, PathPartition
 
@@ -78,8 +77,8 @@ class PointLedger:
         return sum(self.balance, Fraction(0))
 
 
-def apply_rules(g: Graph, p: PathPartition, ec: EdgeClassification,
-                vc: VertexClassification, rs: RuleSet) -> PointLedger:
+def apply_rules(g: Graph, p: PathPartition, vc: VertexClassification,
+                rs: RuleSet) -> PointLedger:
     """Run every transfer once; at most one rule fires per edge, all exact."""
     if p.singleton_count():
         raise DischargeError("transfer rules are undefined on partitions with singletons")
@@ -111,7 +110,7 @@ def apply_rules(g: Graph, p: PathPartition, ec: EdgeClassification,
             return (rs.v5_amount, 5)
         return None
 
-    for a, b in ec.free_edges:
+    for a, b in vc.free_edges():
         hit = directed(a, b)
         if hit is None:
             hit = directed(b, a)

@@ -9,9 +9,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .classify import EdgeClassification, VertexClassification, is_v1
+from .classify import VertexClassification, is_v1
 from .graphs import Graph
 from .partition import CYCLE, PATH, SINGLETON, Component, PathPartition
+
+
+# search budgets: singleton-shift states expanded, compound-search nodes
+SHIFT_STATE_BUDGET = 100000
+COMPOUND_NODE_BUDGET = 20000
 
 
 class MoveEngineError(RuntimeError):
@@ -212,8 +217,7 @@ def _partition_signature(p: PathPartition) -> frozenset:
     return frozenset(out)
 
 
-def eliminate_singletons(g: Graph, p: PathPartition,
-                         state_budget: int = 100000) -> Move | None:
+def eliminate_singletons(g: Graph, p: PathPartition) -> Move | None:
     """Absorb one singleton via the shift search.
 
     A singleton adjacent to an end, a cycle, or a splittable path interior is
@@ -233,7 +237,7 @@ def eliminate_singletons(g: Graph, p: PathPartition,
     while queue:
         state, v, prefix = queue.popleft()
         expanded += 1
-        if expanded > state_budget:
+        if expanded > SHIFT_STATE_BUDGET:
             raise SingletonEliminationError("singleton shift search budget exceeded")
         for w in g.adj[v]:
             kw = state.components[state.owner[w]].kind
@@ -352,14 +356,13 @@ def _replay_reconnection(bld: _Builder, w1: int, w2: int,
     return None
 
 
-def find_derived_move(g: Graph, p: PathPartition, ec: EdgeClassification,
-                      vc: VertexClassification) -> Move | None:
+def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification) -> Move | None:
     """Split one or two paths around a free edge so that both new end-vertices
     are V2, then reconnect the pieces into fewer components (or equal
     components with one more cycle). Also covers the dangerous-vertex
     configurations whose balanced edges point the wrong way."""
     phi0 = p.potential()
-    for a, b in ec.free_edges:
+    for a, b in vc.free_edges():
         if p.components[p.owner[a]].kind != PATH or p.components[p.owner[b]].kind != PATH:
             continue
         same = p.owner[a] == p.owner[b]
@@ -384,10 +387,10 @@ def find_derived_move(g: Graph, p: PathPartition, ec: EdgeClassification,
                 mv = _replay_reconnection(bld, sa, sb, vc, phi0)
                 if mv:
                     return mv
-    return _find_dangerous_move(g, p, ec, vc, phi0)
+    return _find_dangerous_move(g, p, vc, phi0)
 
 
-def _find_dangerous_move(g, p, ec, vc, phi0):
+def _find_dangerous_move(g, p, vc, phi0):
     """Reconnections for the one free-edge shape a dangerous vertex may keep.
 
     For heavy x1 next to dangerous v3 with a free edge (v3, u) into a vertex
@@ -395,10 +398,6 @@ def _find_dangerous_move(g, p, ec, vc, phi0):
     x2's sole balanced edge and all of the far neighbor y1's balanced path
     edges land on the end beyond x2. Any other target yields a rewiring.
     """
-    free_nbrs: dict[int, list[int]] = {}
-    for u, v in ec.free_edges:
-        free_nbrs.setdefault(u, []).append(v)
-        free_nbrs.setdefault(v, []).append(u)
     for v3 in sorted(vc.dangerous):
         nbrs = p.path_neighbors(v3)
         for x1 in sorted(nbrs):
@@ -411,7 +410,7 @@ def _find_dangerous_move(g, p, ec, vc, phi0):
             sign = 1 if p.pos[y1] > i3 else -1
             o2 = verts[-1] if sign > 0 else verts[0]
             o1 = verts[0] if sign > 0 else verts[-1]
-            for u in sorted(free_nbrs.get(v3, ())):
+            for u in vc.free_nbrs[v3]:
                 if p.owner[u] != cid or (p.pos[u] - i3) * sign <= 0:
                     continue
                 v2nb = [w for w in p.path_neighbors(u) if vc.is_v2(w)]
@@ -552,8 +551,7 @@ def _cycle_adjacent(p, t, t2):
     return (p.pos[t] - p.pos[t2]) % k in (1, k - 1)
 
 
-def find_pair_move(g: Graph, p: PathPartition, ec: EdgeClassification,
-                   vc: VertexClassification) -> Move | None:
+def find_pair_move(g: Graph, p: PathPartition, vc: VertexClassification) -> Move | None:
     """Exchanges for adjacent V2 pairs whose balanced targets are incompatible.
 
     On a path o1..a b..o2 with a, b in V2, the only target pairs a stable
@@ -684,8 +682,7 @@ def _splitting_inners_move(g, p, vc, phi0, verts, i, a, b, o1, o2):
 # -- bounded generic search ------------------------------------------------------
 
 def find_compound_move(g: Graph, p: PathPartition, depth: int = 4,
-                       focus: set[int] | None = None,
-                       node_budget: int = 20000) -> Move | None:
+                       focus: set[int] | None = None) -> Move | None:
     """Iterative-deepening search over rewiring steps seeded at free edges
     incident to the focus set.
 
@@ -694,7 +691,7 @@ def find_compound_move(g: Graph, p: PathPartition, depth: int = 4,
     finds a move exactly when find_basic_move does.
     """
     phi0 = p.potential()
-    budget = [node_budget]
+    budget = [COMPOUND_NODE_BUDGET]
     for limit in range(1, depth + 1):
         prims = _compound_dfs(g, p, phi0, limit, focus, budget)
         if prims is not None:

@@ -5,13 +5,12 @@ from __future__ import annotations
 import heapq
 import random
 import time
+from bisect import insort
 from dataclasses import dataclass, field
-from itertools import compress
 
 from . import moves
-from .classify import (V1, V2_CLASSES, CrossCycleError, EdgeClassification,
-                       VertexClassification, classify_edges, classify_vertices,
-                       edge_is_free, reclassify)
+from .classify import (CrossCycleError, VertexClassification, classify_edges,
+                       classify_vertices, edge_is_free, reclassify)
 from .discharge import (Certificate, PointLedger, RuleSet, apply_rules, certify,
                         ruleset_for_degree)
 from .graphs import Graph, infer_degree
@@ -54,7 +53,7 @@ def initial_partition(g: Graph, seed: int = 0) -> PathPartition:
 @dataclass
 class SolveReport:
     partition: PathPartition
-    vc: VertexClassification  # the final partition's vertex classes
+    vc: VertexClassification  # the final partition's free edges and vertex classes
     move_counts: dict[str, int]
     wall_time: float
     potential_trace: list[tuple[int, int, int]]
@@ -86,12 +85,13 @@ class SolveReport:
 
 
 class SolveState:
-    """The live partition's free edges, vertex classes and basic-move candidates.
+    """The live partition's classification and basic-move candidates.
 
     The classification is built from scratch once, the first time a step reads
     it: before basic moves first run out, an edge may still join two cycles,
     which classify_edges rejects. After that, each move marks the vertices it
-    touched dirty and the next read recomputes only the region around them.
+    touched dirty and the next read updates the free-neighbour lists of the
+    edges at them in place and reclassifies only the region around them.
     Join candidates are a min-heap of edge indices and closure candidates a
     min-heap of path ids, validated lazily: a move pushes the edges at the
     joinable vertices and the id of each path it touched, so the first valid
@@ -107,7 +107,6 @@ class SolveState:
         self.joins = list(range(g.m))  # sorted, hence a heap
         self.paths = sorted(cid for cid, c in p.components.items() if c.kind == PATH)
         self.dirty: set[int] = set()
-        self.ec: EdgeClassification | None = None
         self.vc: VertexClassification | None = None
 
     def apply(self, mv: moves.Move) -> None:
@@ -138,35 +137,28 @@ class SolveState:
             heapq.heappop(self.paths)
         return None
 
-    def classification(self) -> tuple[EdgeClassification, VertexClassification]:
-        """The live partition's edge and vertex classification; CrossCycleError
-        while an edge joins two cycles."""
+    def classification(self) -> VertexClassification:
+        """The live partition's classification; CrossCycleError while an edge
+        joins two cycles."""
         g, p = self.g, self.p
         if self.vc is None:
-            self.ec = classify_edges(g, p)
-            self.vc = classify_vertices(g, p, self.ec)
-            free = set(self.ec.free_edges)
-            self.free = [e in free for e in g.edges]
-            self.free_nbrs: list[set[int]] = [set() for _ in range(g.n)]
-            for u, v in free:
-                self.free_nbrs[u].add(v)
-                self.free_nbrs[v].add(u)
-            self.in_v1 = [c == V1 for c in self.vc.cls]
-            self.is_v2 = [c in V2_CLASSES for c in self.vc.cls]
+            self.vc = classify_vertices(g, p, classify_edges(g, p))
         elif self.dirty:
+            nbrs = self.vc.free_nbrs
             # in edge order, so a cross-cycle edge raised is the one classify_edges names
             for i in sorted({i for v in self.dirty for i in self.incident[v]}):
                 u, v = g.edges[i]
                 free = edge_is_free(p, u, v)
-                if free != self.free[i]:
-                    self.free[i] = free
-                    op = set.add if free else set.discard
-                    op(self.free_nbrs[u], v)
-                    op(self.free_nbrs[v], u)
-            self.ec = EdgeClassification(list(compress(g.edges, self.free)))
-            reclassify(g, p, self.vc, self.free_nbrs, self.in_v1, self.is_v2, self.dirty)
+                if free != (v in nbrs[u]):
+                    if free:
+                        insort(nbrs[u], v)
+                        insort(nbrs[v], u)
+                    else:
+                        nbrs[u].remove(v)
+                        nbrs[v].remove(u)
+            reclassify(g, p, self.vc, self.dirty)
         self.dirty = set()
-        return self.ec, self.vc
+        return self.vc
 
     def check(self) -> None:
         """Raise MoveEngineError where the basic move or, once built, the
@@ -176,22 +168,17 @@ class SolveState:
             raise moves.MoveEngineError("basic-move candidates diverged from a scan of E")
         if self.vc is None:
             return
-
-        def fresh():
-            ec = classify_edges(g, p)
-            return ec, classify_vertices(g, p, ec)
-
-        if _free_edges_and_classes(self.classification) != _free_edges_and_classes(fresh):
+        fresh = _classified(lambda: classify_vertices(g, p, classify_edges(g, p)))
+        if _classified(self.classification) != fresh:
             raise moves.MoveEngineError("incremental classification diverged from scratch")
 
 
-def _free_edges_and_classes(classify):
-    """What `classify()` yields: its free edges and classes, or the cross-cycle edge."""
+def _classified(classify):
+    """What `classify()` yields: the classification, or the cross-cycle edge."""
     try:
-        ec, vc = classify()
+        return classify()
     except CrossCycleError as exc:
         return exc.edge
-    return ec.free_edges, vc
 
 
 def _next_move(g: Graph, p: PathPartition, state: SolveState) -> moves.Move | None:
@@ -199,22 +186,16 @@ def _next_move(g: Graph, p: PathPartition, state: SolveState) -> moves.Move | No
     mv = moves.find_basic_move(g, p, state) or moves.eliminate_singletons(g, p)
     if mv:
         return mv
-    ec, vc = state.classification()
-    return moves.find_derived_move(g, p, ec, vc) or moves.find_pair_move(g, p, ec, vc)
+    vc = state.classification()
+    return moves.find_derived_move(g, p, vc) or moves.find_pair_move(g, p, vc)
 
 
-def _focus_for(ec, failing_vertices):
-    focus = set(failing_vertices)
-    ring = set(failing_vertices)
+def _focus_for(vc: VertexClassification, failing_vertices) -> set[int]:
+    """The failing vertices and every vertex within two free edges of them."""
+    focus = ring = set(failing_vertices)
     for _ in range(2):
-        nxt = set()
-        for u, v in ec.free_edges:
-            if u in ring:
-                nxt.add(v)
-            if v in ring:
-                nxt.add(u)
-        focus |= nxt
-        ring = nxt
+        ring = {w for v in ring for w in vc.free_nbrs[v]}
+        focus = focus | ring
     return focus
 
 
@@ -239,7 +220,7 @@ def canonicalize(g: Graph, p: PathPartition, depth: int = 4,
     state = SolveState(g, p)
 
     def run_loop():
-        """Move to a fixed point and return its edge and vertex classification."""
+        """Move to a fixed point and return its classification."""
         nonlocal step
         while True:
             mv = _next_move(g, p, state)
@@ -260,7 +241,7 @@ def canonicalize(g: Graph, p: PathPartition, depth: int = 4,
                               "phi_after": list(mv.phi_after)})
             step += 1
 
-    ec, vc = run_loop()
+    vc = run_loop()
     report = SolveReport(partition=p, vc=vc, move_counts=counts, wall_time=0.0,
                          potential_trace=phis, trace=trace)
 
@@ -270,14 +251,14 @@ def canonicalize(g: Graph, p: PathPartition, depth: int = 4,
     if rules is not None:
         search_depth = depth
         while True:
-            ledger = apply_rules(g, p, ec, vc, rules)
+            ledger = apply_rules(g, p, vc, rules)
             cert = certify(g, p, ledger, rules)
             report.certificate = cert
             report.ledger = ledger
             if cert.verdict:
                 break
             failing = [v for viol in cert.violations for v in viol["component"]]
-            focus = _focus_for(ec, failing)
+            focus = _focus_for(vc, failing)
             mv = moves.find_compound_move(g, p, depth=search_depth, focus=focus)
             if mv is None and search_depth == depth:
                 # the partition is unchanged, so only the search reruns
@@ -289,7 +270,7 @@ def canonicalize(g: Graph, p: PathPartition, depth: int = 4,
             state.apply(mv)
             counts["compound"] = counts.get("compound", 0) + 1
             phis.append(p.potential())
-            ec, vc = run_loop()
+            vc = run_loop()
             report.vc = vc
     report.wall_time = time.perf_counter() - t0
     return report

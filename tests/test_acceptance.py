@@ -199,10 +199,9 @@ def test_criterion_6_discharging_audit_suite():
             report = solve(g, seed=seed)
             assert report.certificate.verdict
             p = report.partition
-            ec = classify_edges(g, p)
-            vc = classify_vertices(g, p, ec)
+            vc = classify_vertices(g, p, classify_edges(g, p))
             rules = ruleset_for_degree(6)
-            ledger = apply_rules(g, p, ec, vc, rules)
+            ledger = apply_rules(g, p, vc, rules)
             rep = audit_block_bounds(g, p, vc, ledger, rules)
             assert rep.ok(), (n, seed, rep.violations)
             audits += 1
@@ -244,10 +243,8 @@ def test_criterion_7_move_engine_soundness():
                 states += 1
             mv = basic or eliminate_singletons(g, p)
             if mv is None:
-                ec = classify_edges(g, p)
-                vc = classify_vertices(g, p, ec)
-                mv = (find_derived_move(g, p, ec, vc)
-                      or find_pair_move(g, p, ec, vc))
+                vc = classify_vertices(g, p, classify_edges(g, p))
+                mv = find_derived_move(g, p, vc) or find_pair_move(g, p, vc)
             if mv is None:
                 break
             apply_move(g, p, mv)

@@ -15,10 +15,14 @@ def _chain(lo, hi):
     return [(i, i + 1) for i in range(lo, hi)]
 
 
+def _classified(g, p):
+    return classify_vertices(g, p, classify_edges(g, p))
+
+
 def test_k7_as_cycle_all_edges_cycle():
     g = complete_graph(7)
     p = PathPartition.from_lists(7, cycles=[[0, 1, 2, 3, 4, 5, 6]])
-    assert classify_edges(g, p).free_edges == []
+    assert list(_classified(g, p).free_edges()) == []
 
 
 def test_two_k7_cycles():
@@ -33,14 +37,14 @@ def test_two_k7_cycles():
         blocks.append(block)
         seen.update(block)
     p = PathPartition.from_lists(g.n, cycles=blocks)
-    assert classify_edges(g, p).free_edges == []
+    assert list(_classified(g, p).free_edges()) == []
 
 
 def test_k7_single_path_split():
     g = complete_graph(7)
     p = PathPartition.from_lists(7, paths=[[0, 1, 2, 3, 4, 5, 6]])
-    free = classify_edges(g, p).free_edges
-    assert len(free) == 15
+    free = list(_classified(g, p).free_edges())
+    assert len(free) == 15 and free == sorted(free)
     assert all(abs(u - v) > 1 for u, v in free)
 
 
@@ -56,8 +60,7 @@ def test_all_cycles_partition_is_all_v1():
     g = gen_disjoint_cliques(6, 2, seed=3)
     report = solve(g, seed=0)
     p = report.partition
-    ec = classify_edges(g, p)
-    vc = classify_vertices(g, p, ec)
+    vc = classify_vertices(g, p, classify_edges(g, p))
     assert all(c == V1 for c in vc.cls)
 
 
@@ -147,12 +150,11 @@ def test_classes_partition_and_invariants_on_solved_instances():
         g = gen_random_regular(n, d, seed=seed)
         report = solve(g, seed=seed)
         p = report.partition
-        ec = classify_edges(g, p)
-        vc = classify_vertices(g, p, ec)
+        vc = classify_vertices(g, p, classify_edges(g, p))
         assert all(c in (V1, V2A, V2B, V3, V4, V5) for c in vc.cls)
         assert vc.heavy <= vc.moderate
         v1set = {v for v in range(n) if vc.cls[v] == V1}
-        for u, v in ec.free_edges:
+        for u, v in vc.free_edges():
             # locally canonical: no free edge joins two V1 vertices, so every
             # free edge at V1 is balanced
             assert not (u in v1set and v in v1set)

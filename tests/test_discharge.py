@@ -39,9 +39,8 @@ def test_small_cycle_receives_exactly_its_floor():
         edges.append((i // 4, t))
     g = Graph(17, edges)
     p = PathPartition.from_lists(17, cycles=[[0, 1, 2]], paths=[list(range(3, 17))])
-    ec = classify_edges(g, p)
-    vc = classify_vertices(g, p, ec)
-    ledger = apply_rules(g, p, ec, vc, RULES_D6)
+    vc = classify_vertices(g, p, classify_edges(g, p))
+    ledger = apply_rules(g, p, vc, RULES_D6)
     assert ledger.rule_counts[1] == 12
     assert all(amt == Fraction(1, 3) for _, _, amt, rule in ledger.transfers if rule == 1)
     cycle_total = sum((ledger.balance[v] for v in (0, 1, 2)), Fraction(0))
@@ -56,9 +55,8 @@ def test_path_end_pair_receives_26_thirds():
         edges += [(0, t), (5, t)]
     g = Graph(14, edges)
     p = PathPartition.from_lists(14, paths=[list(range(6)), list(range(6, 14))])
-    ec = classify_edges(g, p)
-    vc = classify_vertices(g, p, ec)
-    ledger = apply_rules(g, p, ec, vc, RULES_D6)
+    vc = classify_vertices(g, p, classify_edges(g, p))
+    ledger = apply_rules(g, p, vc, RULES_D6)
     assert ledger.balance[0] + ledger.balance[5] == Fraction(26, 3)
     assert ledger.rule_counts[2] == 10
 
@@ -72,9 +70,8 @@ def test_d5_six_cycle_amount_and_floor():
     g = Graph(26, edges)
     p = PathPartition.from_lists(26, cycles=[list(range(6))],
                                  paths=[list(range(6, 26))])
-    ec = classify_edges(g, p)
-    vc = classify_vertices(g, p, ec)
-    ledger = apply_rules(g, p, ec, vc, RULES_D5)
+    vc = classify_vertices(g, p, classify_edges(g, p))
+    ledger = apply_rules(g, p, vc, RULES_D5)
     assert all(amt == Fraction(2, 9) for _, _, amt, rule in ledger.transfers if rule == 1)
     total = sum((ledger.balance[v] for v in range(6)), Fraction(0))
     assert total == Fraction(10)
@@ -107,10 +104,9 @@ def test_certify_failure_lists_violations():
 def test_apply_rules_refuses_singletons():
     g = complete_graph(3)
     p = PathPartition.from_lists(3, paths=[[0, 1]], singletons=[2])
-    ec = classify_edges(g, p)
-    vc = classify_vertices(g, p, ec)
+    vc = classify_vertices(g, p, classify_edges(g, p))
     with pytest.raises(DischargeError):
-        apply_rules(g, p, ec, vc, RULES_D6)
+        apply_rules(g, p, vc, RULES_D6)
 
 
 def test_conservation_and_audit_on_solved_instances():
@@ -124,10 +120,9 @@ def test_conservation_and_audit_on_solved_instances():
             assert report.certificate.verdict
             assert report.ledger.total() == Fraction(n)
             p = report.partition
-            ec = classify_edges(g, p)
-            vc = classify_vertices(g, p, ec)
+            vc = classify_vertices(g, p, classify_edges(g, p))
             rules = ruleset_for_degree(d)
-            ledger = apply_rules(g, p, ec, vc, rules)
+            ledger = apply_rules(g, p, vc, rules)
             rep = audit_block_bounds(g, p, vc, ledger, rules)
             assert rep.ok(), rep.violations
             total_checks += rep.checks

@@ -20,8 +20,7 @@ def _chain(lo, hi):
 
 
 def _classified(g, p):
-    ec = classify_edges(g, p)
-    return ec, classify_vertices(g, p, ec)
+    return classify_vertices(g, p, classify_edges(g, p))
 
 
 def _apply_and_check(g, p, mv):
@@ -62,9 +61,9 @@ def test_basic_none_on_disjoint_cycles():
             seen.update(block)
     p = PathPartition.from_lists(g.n, cycles=blocks)
     assert find_basic_move(g, p) is None
-    ec, vc = _classified(g, p)
-    assert find_derived_move(g, p, ec, vc) is None
-    assert find_pair_move(g, p, ec, vc) is None
+    vc = _classified(g, p)
+    assert find_derived_move(g, p, vc) is None
+    assert find_pair_move(g, p, vc) is None
     assert find_compound_move(g, p, depth=4) is None
 
 
@@ -126,9 +125,9 @@ def test_derived_four_path_replacement():
     paths = [[0, 1], [2, 3, 4, 5, 6], [7, 8, 9, 10, 11], [12, 13]]
     p = PathPartition.from_lists(14, paths=paths)
     assert find_basic_move(g, p) is None
-    ec, vc = _classified(g, p)
+    vc = _classified(g, p)
     assert vc.cls[4] == "V3" and vc.cls[9] == "V3"
-    mv = find_derived_move(g, p, ec, vc)
+    mv = find_derived_move(g, p, vc)
     assert mv is not None and mv.kind == "derived"
     _apply_and_check(g, p, mv)
     assert p.component_count() == 3
@@ -149,8 +148,8 @@ def test_derived_closes_piece_into_cycle():
     p = PathPartition.from_lists(14, paths=[list(range(6)), list(range(6, 12)),
                                             [12, 13]])
     assert find_basic_move(g, p) is None
-    ec, vc = _classified(g, p)
-    mv = find_derived_move(g, p, ec, vc)
+    vc = _classified(g, p)
+    mv = find_derived_move(g, p, vc)
     assert mv is not None
     before = (p.component_count(), p.cycle_count())
     _apply_and_check(g, p, mv)
@@ -161,8 +160,8 @@ def test_derived_closes_piece_into_cycle():
 def test_pair_crossing_inners_close_into_cycle():
     g = Graph(6, _chain(0, 5) + [(2, 5), (0, 3)])
     p = PathPartition.from_lists(6, paths=[list(range(6))])
-    ec, vc = _classified(g, p)
-    mv = find_pair_move(g, p, ec, vc)
+    vc = _classified(g, p)
+    mv = find_pair_move(g, p, vc)
     assert mv is not None and mv.kind == "pair"
     _apply_and_check(g, p, mv)
     assert p.cycle_count() == 1 and p.component_count() == 1
@@ -172,8 +171,8 @@ def test_pair_external_targets_merge():
     # adjacent V2 pair pointing at both ends of another path merges everything
     g = Graph(9, _chain(0, 5) + [(6, 7), (7, 8)] + [(2, 6), (3, 8)])
     p = PathPartition.from_lists(9, paths=[list(range(6)), [6, 7, 8]])
-    ec, vc = _classified(g, p)
-    mv = find_pair_move(g, p, ec, vc)
+    vc = _classified(g, p)
+    mv = find_pair_move(g, p, vc)
     assert mv is not None
     _apply_and_check(g, p, mv)
     assert p.component_count() == 1
@@ -192,8 +191,8 @@ def test_compound_depth1_matches_basic_on_singleton_free_states():
                 checked += 1
             mv = basic or eliminate_singletons(g, p)
             if mv is None:
-                ec, vc = _classified(g, p)
-                mv = find_derived_move(g, p, ec, vc) or find_pair_move(g, p, ec, vc)
+                vc = _classified(g, p)
+                mv = find_derived_move(g, p, vc) or find_pair_move(g, p, vc)
             if mv is None:
                 break
             apply_move(g, p, mv)
@@ -208,8 +207,8 @@ def test_every_move_is_sound_along_trajectories():
         while True:
             mv = find_basic_move(g, p) or eliminate_singletons(g, p)
             if mv is None:
-                ec, vc = _classified(g, p)
-                mv = find_derived_move(g, p, ec, vc) or find_pair_move(g, p, ec, vc)
+                vc = _classified(g, p)
+                mv = find_derived_move(g, p, vc) or find_pair_move(g, p, vc)
             if mv is None:
                 break
             _apply_and_check(g, p, mv)

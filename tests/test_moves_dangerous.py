@@ -14,8 +14,7 @@ def _chain(lo, hi):
 
 
 def _classified(g, p):
-    ec = classify_edges(g, p)
-    return ec, classify_vertices(g, p, ec)
+    return classify_vertices(g, p, classify_edges(g, p))
 
 
 def _apply_and_check(g, p, mv):
@@ -45,10 +44,10 @@ def test_anchor_targeting_near_end_is_rewired():
         19, paths=[list(range(10)), [10, 11], [12, 13], [14, 15]],
         cycles=[[16, 17, 18]])
     assert find_basic_move(g, p) is None
-    ec, vc = _classified(g, p)
+    vc = _classified(g, p)
     assert 2 in vc.heavy and 4 in vc.moderate and 3 in vc.dangerous
-    assert find_pair_move(g, p, ec, vc) is None
-    mv = find_derived_move(g, p, ec, vc)
+    assert find_pair_move(g, p, vc) is None
+    mv = find_derived_move(g, p, vc)
     assert mv is not None
     before = (p.component_count(), p.cycle_count())
     _apply_and_check(g, p, mv)
@@ -65,9 +64,9 @@ def test_anchor_targeting_cycle_with_moderate_on_near_end():
         19, paths=[list(range(10)), [10, 11], [12, 13], [14, 15]],
         cycles=[[16, 17, 18]])
     assert find_basic_move(g, p) is None
-    ec, vc = _classified(g, p)
+    vc = _classified(g, p)
     assert 3 in vc.dangerous
-    mv = find_derived_move(g, p, ec, vc)
+    mv = find_derived_move(g, p, vc)
     assert mv is not None
     before = p.component_count()
     _apply_and_check(g, p, mv)
@@ -82,9 +81,9 @@ def test_far_neighbor_targeting_near_end_is_rewired():
     p = PathPartition.from_lists(
         16, paths=[list(range(10)), [10, 11], [12, 13], [14, 15]])
     assert find_basic_move(g, p) is None
-    ec, vc = _classified(g, p)
+    vc = _classified(g, p)
     assert 3 in vc.dangerous
-    mv = find_derived_move(g, p, ec, vc)
+    mv = find_derived_move(g, p, vc)
     assert mv is not None
     before = (p.component_count(), p.cycle_count())
     _apply_and_check(g, p, mv)
@@ -100,9 +99,9 @@ def test_far_neighbor_external_target_via_direct_scan():
     g = Graph(18, edges)
     p = PathPartition.from_lists(
         18, paths=[list(range(10)), [10, 11], [12, 13], [14, 15], [16, 17]])
-    ec, vc = _classified(g, p)
+    vc = _classified(g, p)
     assert 3 in vc.dangerous
-    mv = moves._find_dangerous_move(g, p, ec, vc, p.potential())
+    mv = moves._find_dangerous_move(g, p, vc, p.potential())
     assert mv is not None
     _apply_and_check(g, p, mv)
 
@@ -115,9 +114,9 @@ def test_splitting_inners_with_heavy_before_the_pair():
     p = PathPartition.from_lists(
         14, paths=[list(range(8)), [8, 9], [10, 11], [12, 13]])
     assert find_basic_move(g, p) is None
-    ec, vc = _classified(g, p)
+    vc = _classified(g, p)
     assert 2 in vc.heavy
-    mv = find_pair_move(g, p, ec, vc)
+    mv = find_pair_move(g, p, vc)
     assert mv is not None and mv.kind == "pair"
     before = (p.component_count(), p.cycle_count())
     _apply_and_check(g, p, mv)
@@ -133,9 +132,9 @@ def test_splitting_inners_with_heavy_after_the_pair():
     p = PathPartition.from_lists(
         14, paths=[list(range(8)), [8, 9], [10, 11], [12, 13]])
     assert find_basic_move(g, p) is None
-    ec, vc = _classified(g, p)
+    vc = _classified(g, p)
     assert 5 in vc.heavy
-    mv = find_pair_move(g, p, ec, vc)
+    mv = find_pair_move(g, p, vc)
     assert mv is not None
     before = (p.component_count(), p.cycle_count())
     _apply_and_check(g, p, mv)

@@ -1,13 +1,15 @@
 import itertools
 
+from hypothesis import given, strategies as st
+
 from pathpart import moves
 from pathpart.classify import classify_edges, classify_vertices
 from pathpart.discharge import RULES_D6, apply_rules, ruleset_for_degree
 from pathpart.graphs import Graph, gen_disjoint_cliques, gen_random_regular
 from pathpart.partition import PathPartition, partition_to_json, validate_partition
-from pathpart.solver import canonicalize, initial_partition, solve
+from pathpart.solver import _focus_for, canonicalize, initial_partition, solve
 
-from conftest import complete_graph, count_calls
+from conftest import complete_graph, count_calls, draw_start, legal_primitives
 
 
 def test_initial_partition_k7_single_path():
@@ -71,6 +73,25 @@ def test_potential_trace_strictly_decreasing():
     assert report.component_count <= trace[0][0]
 
 
+@given(st.data())
+def test_potential_decreases_from_mid_solve_states(data):
+    # random primitives leave cycles, singletons and cut paths behind
+    g, p = draw_start(data)
+    for _ in range(data.draw(st.integers(0, 30), label="steps")):
+        prim = data.draw(st.sampled_from(legal_primitives(g, p)), label="primitive")
+        moves.apply_primitive(g, p, prim)
+    report = canonicalize(g, p, validate_each=True)
+    phis = report.potential_trace
+    assert all(a > b for a, b in zip(phis, phis[1:]))
+    q = report.partition
+    assert validate_partition(g, q)[0]
+    vc = classify_vertices(g, q, classify_edges(g, q))
+    assert moves.find_basic_move(g, q) is None
+    assert moves.eliminate_singletons(g, q) is None
+    assert moves.find_derived_move(g, q, vc) is None
+    assert moves.find_pair_move(g, q, vc) is None
+
+
 def test_solver_deterministic():
     g = gen_random_regular(42, 5, seed=3)
     a = solve(g, seed=11)
@@ -91,11 +112,10 @@ def test_solver_trace_records_moves():
 
 def _assert_report_matches_fresh_classification(g, report, rules):
     p = report.partition
-    ec = classify_edges(g, p)
-    vc = classify_vertices(g, p, ec)
+    vc = classify_vertices(g, p, classify_edges(g, p))
     assert report.vc == vc
-    assert report.ledger == apply_rules(g, p, ec, vc, rules)
-    return ec, vc
+    assert report.ledger == apply_rules(g, p, vc, rules)
+    return vc
 
 
 def test_final_partitions_are_locally_canonical():
@@ -105,10 +125,10 @@ def test_final_partitions_are_locally_canonical():
         p = report.partition
         assert p.singleton_count() == 0
         assert moves.find_basic_move(g, p) is None
-        ec, vc = _assert_report_matches_fresh_classification(
+        vc = _assert_report_matches_fresh_classification(
             g, report, ruleset_for_degree(d))
-        assert moves.find_derived_move(g, p, ec, vc) is None
-        assert moves.find_pair_move(g, p, ec, vc) is None
+        assert moves.find_derived_move(g, p, vc) is None
+        assert moves.find_pair_move(g, p, vc) is None
 
 
 def test_escalated_report_keeps_the_final_classification():
@@ -135,3 +155,16 @@ def test_checked_solve_from_singletons():
     report = canonicalize(g, p, validate_each=True)
     assert report.certificate.verdict
     assert report.move_counts.get("derived")
+
+
+def test_focus_is_two_free_edges_around_the_failing_vertices():
+    # paths 0-1-2-3 and 4-5-6-7; free edges 0-4, 4-6, 6-2 and 1-7
+    free = [(0, 4), (4, 6), (2, 6), (1, 7)]
+    g = Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)] + free)
+    p = PathPartition.from_lists(8, paths=[[0, 1, 2, 3], [4, 5, 6, 7]])
+    vc = classify_vertices(g, p, classify_edges(g, p))
+    assert sorted(vc.free_edges()) == sorted(free)
+    # 2 is three free edges from 0, and path edges do not count
+    assert _focus_for(vc, [0]) == {0, 4, 6}
+    assert _focus_for(vc, [0, 7]) == {0, 1, 4, 6, 7}
+    assert _focus_for(vc, [3]) == {3}

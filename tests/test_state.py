@@ -13,18 +13,16 @@ from conftest import draw_start, legal_primitives
 
 def _fresh(g, p):
     try:
-        ec = classify_edges(g, p)
+        return classify_vertices(g, p, classify_edges(g, p))
     except CrossCycleError as exc:
         return exc.edge
-    return ec.free_edges, classify_vertices(g, p, ec)
 
 
 def _incremental(state):
     try:
-        ec, vc = state.classification()
+        return state.classification()
     except CrossCycleError as exc:
         return exc.edge
-    return ec.free_edges, vc
 
 
 @given(st.data())

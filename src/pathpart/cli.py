@@ -23,12 +23,21 @@ EXIT_INVALID = 2
 EXIT_UNKNOWN = 3
 
 
-def _load_graph(path: str) -> Graph:
+def _load_graph(args) -> Graph:
+    """Read `args.input`, checking its header before anything is built: the
+    oracle refuses n above its cap (OracleUnknown), and every other command
+    n > 2m, which leaves a vertex isolated (GraphError)."""
+    path = args.input
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise GraphError(f"{path}: not {exc.encoding} text "
                          f"({exc.reason} at byte {exc.start})") from None
+    n, m = graphs.read_header(text)
+    if args.command == "oracle":
+        oracle.check_cap(n, args.cap)
+    elif n > 2 * m:
+        raise GraphError(f"{path}: {n} vertices but {m} edges leave a vertex isolated")
     return graphs.read_edge_list(text)
 
 
@@ -104,7 +113,7 @@ def _solve_input(args, record_trace: bool = False):
     """Load, pick the rules and solve: (graph, rules, report), or the exit code
     of a rejected input."""
     try:
-        g = _load_graph(args.input)
+        g = _load_graph(args)
     except (OSError, GraphError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -144,12 +153,11 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle(args) -> int:
     try:
-        g = _load_graph(args.input)
+        g = _load_graph(args)
+        res = oracle.exact_pi_p(g, budget=args.budget, cap=args.cap)
     except (OSError, GraphError) as exc:
         print(f"oracle: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    try:
-        res = oracle.exact_pi_p(g, budget=args.budget, cap=args.cap)
     except oracle.OracleUnknown as exc:
         print(f"oracle: unknown ({exc})", file=sys.stderr)
         return EXIT_UNKNOWN

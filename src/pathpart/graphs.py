@@ -174,20 +174,26 @@ def gen_complete_bipartite(d: int) -> Graph:
     return Graph(2 * d, [(i, d + j) for i in range(d) for j in range(d)])
 
 
+def read_header(text: str) -> tuple[int, int]:
+    """The "n m" header of an edge list, read before anything is built."""
+    if not text:
+        raise EdgeListParseError("missing header", 1)
+    first = (text.split("\n", 1)[0].splitlines() or [""])[0]
+    head = first.split()
+    if len(head) != 2:
+        raise EdgeListParseError(f"expected 'n m', got {first!r}", 1)
+    try:
+        return int(head[0]), int(head[1])
+    except ValueError:
+        raise EdgeListParseError(f"expected integers in header, got {first!r}", 1) from None
+
+
 def read_edge_list(text: str | bytes) -> Graph:
     """Parse "n m" header plus m "u v" lines (0-indexed); reject loops/dupes/bad ids."""
     if isinstance(text, bytes):
         text = text.decode("ascii")
+    n, m = read_header(text)
     lines = text.splitlines()
-    if not lines:
-        raise EdgeListParseError("missing header", 1)
-    head = lines[0].split()
-    if len(head) != 2:
-        raise EdgeListParseError(f"expected 'n m', got {lines[0]!r}", 1)
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise EdgeListParseError(f"expected integers in header, got {lines[0]!r}", 1) from None
     edges = []
     seen = set()
     row = 1

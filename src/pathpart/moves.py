@@ -6,10 +6,11 @@ decreases the lexicographic potential (components, -cycles, singletons).
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 
-from .classify import VertexClassification, is_v1
+from .classify import V2A, V5, VertexClassification, is_v1
 from .graphs import Graph
 from .partition import CYCLE, PATH, SINGLETON, Component, PathPartition
 
@@ -114,7 +115,12 @@ def apply_move(g: Graph, p: PathPartition, move: Move) -> set[int]:
 
 
 class _Builder:
-    """Applies primitives to a scratch copy while recording them."""
+    """Applies primitives to a scratch copy while recording them.
+
+    Finders build the move they have chosen, not every candidate: the derived
+    scan decides on a `_CutView` of the live partition first. The singleton
+    shift and compound searches build each state they expand.
+    """
 
     def __init__(self, g: Graph, p: PathPartition):
         self.g = g
@@ -124,6 +130,11 @@ class _Builder:
     def _do(self, prim: tuple) -> None:
         apply_primitive(self.g, self.p, prim)
         self.prims.append(prim)
+
+    def run(self, steps) -> None:
+        """Replay `(method name, args)` steps, e.g. `("join", (u, v))`."""
+        for name, args in steps:
+            getattr(self, name)(*args)
 
     def split_at(self, a: int, b: int) -> None:
         self._do(("split", self.p.owner[a], a, b))
@@ -284,16 +295,63 @@ def eliminate_singletons(g: Graph, p: PathPartition) -> Move | None:
 
 # -- derived moves -------------------------------------------------------------
 
-def _other_end(p: PathPartition, cid: int, v: int) -> int:
-    comp = p.components[cid]
-    if comp.kind == SINGLETON:
-        return v
-    return comp.vertices[-1] if comp.vertices[0] == v else comp.vertices[0]
+class _CutView:
+    """The pieces that cutting (sa, a) and (sb, b) and then joining a-b would
+    make, read from positions on the live partition instead of built.
+
+    A cut path falls into segments (cid, lo, hi) of its vertex list; every
+    other component is one segment. A vertex's piece after the build is its
+    segment, or JOIN for the segments of a and b, which the join merges.
+    """
+
+    JOIN = "join"
+
+    def __init__(self, p: PathPartition, sa: int, a: int, sb: int, b: int):
+        self.p = p
+        self.bounds: dict[int, list[int]] = {}
+        for s, x in ((sa, a), (sb, b)):
+            cid = p.owner[x]
+            bounds = self.bounds.setdefault(cid, [0, len(p.components[cid].vertices)])
+            insort(bounds, max(p.pos[s], p.pos[x]))  # split's cut index
+        self.joined = (self._segment(a), self._segment(b))
+        # the joined path runs from a's far end to b's far end
+        self.ends = (self._far(self.joined[0], a), self._far(self.joined[1], b))
+
+    def _segment(self, v: int) -> tuple[int, int, int]:
+        cid = self.p.owner[v]
+        bounds = self.bounds.get(cid)
+        if bounds is None:
+            return (cid, 0, len(self.p.components[cid].vertices))
+        i = self.p.pos[v]
+        k = next(k for k in range(1, len(bounds)) if i < bounds[k])
+        return (cid, bounds[k - 1], bounds[k])
+
+    def _far(self, seg: tuple[int, int, int], v: int) -> int:
+        cid, lo, hi = seg
+        verts = self.p.components[cid].vertices
+        return verts[hi - 1] if verts[lo] == v else verts[lo]
+
+    def owner(self, v: int):
+        """v's piece after the build, comparable with other pieces only."""
+        seg = self._segment(v)
+        return self.JOIN if seg in self.joined else seg
+
+    def other_end(self, v: int) -> int:
+        """The far end of the piece end-vertex v lies on (v for a singleton)."""
+        seg = self._segment(v)
+        if seg in self.joined:
+            return self.ends[1] if v == self.ends[0] else self.ends[0]
+        return self._far(seg, v)
+
+    def is_cycle(self, v: int) -> bool:
+        """v's component is a cycle (the cuts and the join touch only paths)."""
+        return self.p.components[self.p.owner[v]].kind == CYCLE
 
 
-def _replay_reconnection(bld: _Builder, w1: int, w2: int,
-                         vc: VertexClassification, phi0: tuple) -> Move | None:
-    """Turn a one-extra-component split into an improving move.
+def _replay_reconnection(view: _CutView, w1: int, w2: int,
+                         vc: VertexClassification) -> list[tuple] | None:
+    """Plan the steps that turn a one-extra-component split into an improving
+    move, or None.
 
     w1, w2 are the freshly exposed ends (V2 in the source partition). Succeeds
     whenever one of them is heavy; otherwise opportunistically.
@@ -301,68 +359,68 @@ def _replay_reconnection(bld: _Builder, w1: int, w2: int,
     if w2 in vc.heavy and w1 not in vc.heavy:
         w1, w2 = w2, w1
     x1, x2 = w1, w2
-    p0 = bld.p
-    q1 = p0.owner[x1]
+    q1 = view.owner(x1)
     t1 = vc.balanced_path_ends.get(x1, [])
     t2 = vc.balanced_targets(x2)
-    if p0.owner[x2] == q1:
+    if view.owner(x2) == q1:
         # both new ends on one piece (or a single popped vertex)
         for ox2 in t2:
-            c2 = p0.owner[ox2]
+            c2 = view.owner(ox2)
             if c2 == q1:
                 continue
             for ox1 in t1:
-                if ox1 == ox2 or p0.owner[ox1] in (q1, c2):
+                if ox1 == ox2 or view.owner(ox1) in (q1, c2):
                     continue
-                bld.attach(x2, ox2)
-                bld.attach(x1, ox1)
-                return bld.finish("derived", phi0)
+                return [("attach", (x2, ox2)), ("attach", (x1, ox1))]
         return None
-    q2 = p0.owner[x2]
-    o1 = _other_end(p0, q1, x1)
-    o2 = _other_end(p0, q2, x2)
+    q2 = view.owner(x2)
+    o1 = view.other_end(x1)
+    o2 = view.other_end(x2)
     for ox2 in t2:
-        c2 = p0.owner[ox2]
+        c2 = view.owner(ox2)
         if c2 == q2:
             # ox2 == o2: the x2 piece closes into a cycle; merge the x1 piece away
             ox1 = next((t for t in t1 if t not in (o1, o2)), None)
             if ox1 is None:
                 continue
-            bld.close_comp(q2)
-            bld.attach(x1, ox1)
-            return bld.finish("derived", phi0)
+            return [("close_of", (x2,)), ("attach", (x1, ox1))]
         if c2 == q1:
             # ox2 == o1: chain the two pieces, then merge outward
             ox1 = next((t for t in t1 if t not in (o1, o2)), None)
             if ox1 is None:
                 continue
-            bld.join(x2, ox2)
-            bld.attach(x1, ox1)
-            return bld.finish("derived", phi0)
+            return [("join", (x2, ox2)), ("attach", (x1, ox1))]
         # closing the x1 piece only pays when no cycle was spent absorbing the
         # x2 piece, so demand a plain join target in that case
-        if p0.components[c2].kind == CYCLE:
+        if view.is_cycle(ox2):
             ox1 = next((t for t in t1 if t not in (ox2, o1)), None)
         else:
             ox1 = next((t for t in t1 if t != ox2), None)
         if ox1 is None:
             continue
-        bld.attach(x2, ox2)
-        if ox1 == o1:
-            bld.close_comp(q1)
-        else:
-            bld.attach(x1, ox1)
-        return bld.finish("derived", phi0)
+        return [("attach", (x2, ox2)),
+                ("close_of", (x1,)) if ox1 == o1 else ("attach", (x1, ox1))]
     return None
+
+
+# an interior vertex of these classes has no V2 path neighbour to cut at
+_NO_V2_NEIGHBOUR = (V2A, V5)
 
 
 def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification) -> Move | None:
     """Split one or two paths around a free edge so that both new end-vertices
     are V2, then reconnect the pieces into fewer components (or equal
     components with one more cycle). Also covers the dangerous-vertex
-    configurations whose balanced edges point the wrong way."""
+    configurations whose balanced edges point the wrong way.
+
+    Each candidate is decided on a `_CutView` of the live partition; only the
+    first one with a plan is built.
+    """
     phi0 = p.potential()
+    cls = vc.cls
     for a, b in vc.free_edges():
+        if cls[a] in _NO_V2_NEIGHBOUR or cls[b] in _NO_V2_NEIGHBOUR:
+            continue
         if p.components[p.owner[a]].kind != PATH or p.components[p.owner[b]].kind != PATH:
             continue
         same = p.owner[a] == p.owner[b]
@@ -380,13 +438,12 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification) -> M
                     # both cuts facing outward would close the middle into a cycle
                     if p.pos[s_lo] < lo_p and p.pos[s_hi] > hi_p:
                         continue
-                bld = _Builder(g, p)
-                bld.split_at(sa, a)
-                bld.split_at(sb, b)
-                bld.join(a, b)
-                mv = _replay_reconnection(bld, sa, sb, vc, phi0)
-                if mv:
-                    return mv
+                steps = _replay_reconnection(_CutView(p, sa, a, sb, b), sa, sb, vc)
+                if steps is not None:
+                    bld = _Builder(g, p)
+                    bld.run([("split_at", (sa, a)), ("split_at", (sb, b)),
+                             ("join", (a, b))] + steps)
+                    return bld.finish("derived", phi0)
     return _find_dangerous_move(g, p, vc, phi0)
 
 
@@ -759,8 +816,7 @@ def _compound_dfs(g, state, phi0, remaining, focus, budget):
             budget[0] -= 1
             bld = _Builder(g, state)
             try:
-                for name, args in step:
-                    getattr(bld, name)(*args)
+                bld.run(step)
             except MoveEngineError:
                 continue
             if bld.p.potential() < phi0:

@@ -19,6 +19,12 @@ class OracleResult:
     explored: int
 
 
+def check_cap(n: int, cap: int) -> None:
+    """OracleUnknown when n vertices are above the subset DP's size cap."""
+    if n > cap:
+        raise OracleUnknown(f"n={n} above oracle cap {cap}")
+
+
 def exact_pi_p(g: Graph, budget: int = 50_000_000, cap: int = 16) -> OracleResult:
     """Minimum number of vertex-disjoint paths covering the graph, by subset DP.
 
@@ -33,8 +39,7 @@ def exact_pi_p(g: Graph, budget: int = 50_000_000, cap: int = 16) -> OracleResul
     n * 2^(n-1) on a completed run; the budget is checked once per subset.
     """
     n = g.n
-    if n > cap:
-        raise OracleUnknown(f"n={n} above oracle cap {cap}")
+    check_cap(n, cap)
     if n == 0:
         return OracleResult(0, PathPartition.from_lists(0), 0)
     full = (1 << n) - 1

@@ -29,7 +29,7 @@ class PathPartition:
 
     Components live in a dict keyed by creation-ordered integer ids, so moves
     can reference components stably while they split and merge. One owner
-    mutates at a time; copies are cheap and independent.
+    mutates at a time; a copy is independent but costs O(n).
     """
 
     def __init__(self, n: int):

@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -230,3 +234,37 @@ def test_cli_on_malformed_input_ends_in_an_exit_code(tmp_path_factory, content):
     path.write_bytes(content)
     for command in ("solve", "oracle", "audit"):
         assert main([command, str(path)]) in (0, 1, 2, 3)
+
+
+HUGE_HEADER_LIMIT = 1536 * 2**20  # bytes of address space for the child
+
+
+def _limited_main(args: list[str]) -> subprocess.CompletedProcess:
+    """`pathpart` in a child process whose address space is capped, so that
+    allocating for a header's vertex count fails instead of exhausting memory."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (HUGE_HEADER_LIMIT, HUGE_HEADER_LIMIT))
+
+    code = "import sys; from pathpart.cli import main; sys.exit(main(sys.argv[1:]))"
+    # one BLAS thread keeps numpy's own buffers small under the cap on many-core hosts
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, preexec_fn=cap, timeout=120)
+
+
+def test_huge_header_is_refused_before_allocating(tmp_path):
+    inst = tmp_path / "huge.txt"
+    inst.write_text("300000000 0\n")
+    for command in ("solve", "audit"):
+        done = _limited_main([command, str(inst)])
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith(f"{command}: ") and "isolated" in done.stderr
+    done = _limited_main(["oracle", str(inst)])
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == "oracle: unknown (n=300000000 above oracle cap 16)\n"
+    manifest = tmp_path / "jobs.json"
+    manifest.write_text(json.dumps([{"command": "solve", "args": [str(inst)]}]))
+    done = _limited_main(["batch", str(manifest)])
+    assert done.returncode == 2, done.stderr
+    assert json.loads(done.stdout)["exit"] == 2

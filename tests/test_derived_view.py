@@ -1,0 +1,161 @@
+"""Property test: the derived scan, deciding each candidate on a view of the
+live partition, returns the move that building every candidate on a copy
+returns."""
+
+from hypothesis import given, settings, strategies as st
+
+from pathpart import moves
+from pathpart.classify import classify_edges, classify_vertices
+from pathpart.graphs import Graph, gen_disjoint_cliques
+from pathpart.moves import MoveEngineError, _Builder, _find_dangerous_move
+from pathpart.partition import CYCLE, PATH, SINGLETON, PathPartition
+from pathpart.solver import initial_partition
+
+from conftest import draw_start, legal_primitives
+
+
+def _other_end(p, cid, v):
+    comp = p.components[cid]
+    if comp.kind == SINGLETON:
+        return v
+    return comp.vertices[-1] if comp.vertices[0] == v else comp.vertices[0]
+
+
+def _built_reconnection(bld, w1, w2, vc, phi0):
+    """The reconnection decided on a copy built by the split, split and join."""
+    if w2 in vc.heavy and w1 not in vc.heavy:
+        w1, w2 = w2, w1
+    x1, x2 = w1, w2
+    p0 = bld.p
+    q1 = p0.owner[x1]
+    t1 = vc.balanced_path_ends.get(x1, [])
+    t2 = vc.balanced_targets(x2)
+    if p0.owner[x2] == q1:
+        for ox2 in t2:
+            c2 = p0.owner[ox2]
+            if c2 == q1:
+                continue
+            for ox1 in t1:
+                if ox1 == ox2 or p0.owner[ox1] in (q1, c2):
+                    continue
+                bld.attach(x2, ox2)
+                bld.attach(x1, ox1)
+                return bld.finish("derived", phi0)
+        return None
+    q2 = p0.owner[x2]
+    o1 = _other_end(p0, q1, x1)
+    o2 = _other_end(p0, q2, x2)
+    for ox2 in t2:
+        c2 = p0.owner[ox2]
+        if c2 == q2:
+            ox1 = next((t for t in t1 if t not in (o1, o2)), None)
+            if ox1 is None:
+                continue
+            bld.close_comp(q2)
+            bld.attach(x1, ox1)
+            return bld.finish("derived", phi0)
+        if c2 == q1:
+            ox1 = next((t for t in t1 if t not in (o1, o2)), None)
+            if ox1 is None:
+                continue
+            bld.join(x2, ox2)
+            bld.attach(x1, ox1)
+            return bld.finish("derived", phi0)
+        if p0.components[c2].kind == CYCLE:
+            ox1 = next((t for t in t1 if t not in (ox2, o1)), None)
+        else:
+            ox1 = next((t for t in t1 if t != ox2), None)
+        if ox1 is None:
+            continue
+        bld.attach(x2, ox2)
+        if ox1 == o1:
+            bld.close_comp(q1)
+        else:
+            bld.attach(x1, ox1)
+        return bld.finish("derived", phi0)
+    return None
+
+
+def _built_derived_move(g, p, vc):
+    """Every candidate split, split and join built on a copy of p."""
+    phi0 = p.potential()
+    for a, b in vc.free_edges():
+        if p.components[p.owner[a]].kind != PATH or p.components[p.owner[b]].kind != PATH:
+            continue
+        same = p.owner[a] == p.owner[b]
+        for sa in p.path_neighbors(a):
+            if not vc.is_v2(sa):
+                continue
+            for sb in p.path_neighbors(b):
+                if not vc.is_v2(sb):
+                    continue
+                if same:
+                    pa, pb = p.pos[a], p.pos[b]
+                    lo_v, lo_p, hi_v, hi_p = (a, pa, b, pb) if pa < pb else (b, pb, a, pa)
+                    s_lo = sa if lo_v == a else sb
+                    s_hi = sb if lo_v == a else sa
+                    if p.pos[s_lo] < lo_p and p.pos[s_hi] > hi_p:
+                        continue
+                bld = _Builder(g, p)
+                bld.split_at(sa, a)
+                bld.split_at(sb, b)
+                bld.join(a, b)
+                mv = _built_reconnection(bld, sa, sb, vc, phi0)
+                if mv:
+                    return mv
+    return _find_dangerous_move(g, p, vc, phi0)
+
+
+def _outcome(find, g, p, vc):
+    try:
+        return find(g, p, vc)
+    except MoveEngineError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _to_basic_fixed_point(g, p):
+    while (mv := moves.find_basic_move(g, p)) is not None:
+        moves.apply_move(g, p, mv)
+
+
+def _draw_perturbed_cliques(data):
+    """2 to 5 disjoint K7s after a few double-edge switches (ab, cd -> ad, cb):
+    near-extremal, where derived moves fire often."""
+    g = gen_disjoint_cliques(6, data.draw(st.integers(2, 5), label="k"), seed=0)
+    edges = list(g.edges)
+    present = set(edges)
+    for _ in range(data.draw(st.integers(1, 6), label="switches")):
+        i, j = data.draw(st.lists(st.integers(0, len(edges) - 1), min_size=2,
+                                  max_size=2, unique=True), label="switch")
+        (a, b), (c, d) = edges[i], edges[j]
+        e1, e2 = tuple(sorted((a, d))), tuple(sorted((c, b)))
+        if len({a, b, c, d}) < 4 or e1 in present or e2 in present:
+            continue
+        present -= {edges[i], edges[j]}
+        present |= {e1, e2}
+        edges[i], edges[j] = e1, e2
+    g = Graph(g.n, edges)
+    if data.draw(st.booleans(), label="greedy start"):
+        return g, initial_partition(g, seed=data.draw(st.integers(0, 3), label="seed"))
+    return g, PathPartition.from_lists(g.n, singletons=range(g.n))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_derived_scan_matches_building_every_candidate(data):
+    if data.draw(st.booleans(), label="perturbed cliques"):
+        g, p = _draw_perturbed_cliques(data)
+    else:
+        g, p = draw_start(data)
+    for _ in range(data.draw(st.integers(0, 30), label="steps")):
+        prim = data.draw(st.sampled_from(legal_primitives(g, p)), label="primitive")
+        moves.apply_primitive(g, p, prim)
+    # follow derived moves from the basic fixed point, comparing at each stop
+    for _ in range(20):
+        _to_basic_fixed_point(g, p)
+        vc = classify_vertices(g, p, classify_edges(g, p))
+        mv = _outcome(moves.find_derived_move, g, p, vc)
+        assert mv == _outcome(_built_derived_move, g, p, vc)
+        if not isinstance(mv, moves.Move):
+            break
+        moves.apply_move(g, p, mv)

@@ -1,0 +1,41 @@
+"""Golden outputs: a perturbed-clique solve whose move trace and JSON report
+must stay byte-identical across refactors of the move layer."""
+
+import hashlib
+import json
+
+from pathpart.cli import main
+from pathpart.graphs import Graph, gen_disjoint_cliques, write_edge_list
+
+# double-edge switches (a, b), (c, d) -> (a, d), (c, b) on 12 disjoint K7s;
+# the solve makes 7 basic, 4 derived and 1 pair move
+SWITCHES = [((70, 77), (51, 53)), ((69, 76), (50, 60)), ((2, 67), (4, 14)),
+            ((49, 51), (7, 26)), ((40, 78), (47, 69)), ((35, 43), (50, 63))]
+TRACE_SHA256 = "f03df7911352552be28ddba5b11e4669ec52539ca6e5a250e7335b14e4d3022d"
+JSON_SHA256 = "134a448ebd56e19182e58d30412adb8d93de128ce8e38be16c4fef1fa3872f9f"
+
+
+def _perturbed_cliques() -> Graph:
+    g = gen_disjoint_cliques(6, 12, seed=0)
+    edges = set(g.edges)
+    for (a, b), (c, d) in SWITCHES:
+        edges -= {(a, b), (c, d)}
+        edges |= {(min(a, d), max(a, d)), (min(c, b), max(c, b))}
+    return Graph(g.n, edges)
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_perturbed_clique_trace_and_report_are_golden(tmp_path):
+    g = _perturbed_cliques()
+    assert len(g.edges) == 12 * 21 and all(len(a) == 6 for a in g.adj)
+    inst = tmp_path / "g.txt"
+    inst.write_text(write_edge_list(g))
+    trace, out = tmp_path / "trace.jsonl", tmp_path / "solve.json"
+    assert main(["solve", str(inst), "--json", "--trace", str(trace), "-o", str(out)]) == 0
+    kinds = {json.loads(line)["move_kind"] for line in trace.read_text().splitlines()}
+    assert {"derived", "pair"} <= kinds
+    assert _sha256(trace) == TRACE_SHA256
+    assert _sha256(out) == JSON_SHA256

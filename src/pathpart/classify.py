@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Graph
-from .partition import CYCLE, PATH, SINGLETON, PathPartition
+from .partition import CYCLE, PATH, PathPartition
 
 V1 = "V1"
 V2A = "V2a"
@@ -61,16 +61,16 @@ class VertexClassification:
     detection only). V2: path vertices with a free edge into V1, split by
     whether a path neighbor is also V2. V3/V4: path vertices with two/exactly
     one path neighbor in V2. V5: the rest. A balanced edge is a free edge
-    joining V2 to V1; each V2 vertex carries its balanced targets split by
-    what they land on, and only V2 vertices have entries in those dicts.
-    `free_nbrs` lists each vertex's free neighbours in ascending order.
+    joining V2 to V1. Each V2 vertex has its balanced targets in `balanced`
+    and those that are path ends in `balanced_path_ends`, both ascending;
+    only V2 vertices have entries in those dicts. `free_nbrs` lists each
+    vertex's free neighbours in ascending order.
     """
 
     cls: list[str]
     free_nbrs: list[list[int]]
+    balanced: dict[int, list[int]] = field(default_factory=dict)
     balanced_path_ends: dict[int, list[int]] = field(default_factory=dict)
-    balanced_cycles: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-    balanced_singletons: dict[int, list[int]] = field(default_factory=dict)
     moderate: set[int] = field(default_factory=set)
     heavy: set[int] = field(default_factory=set)
     dangerous: set[int] = field(default_factory=set)
@@ -86,11 +86,8 @@ class VertexClassification:
                     yield u, v
 
     def balanced_targets(self, v: int) -> list[int]:
-        """All balanced targets of a V2 vertex, sorted."""
-        out = list(self.balanced_path_ends.get(v, ()))
-        out.extend(t for t, _ in self.balanced_cycles.get(v, ()))
-        out.extend(self.balanced_singletons.get(v, ()))
-        return sorted(out)
+        """All balanced targets of v, ascending (none unless v is V2)."""
+        return self.balanced.get(v, [])
 
 
 def is_v1(p: PathPartition, v: int) -> bool:
@@ -139,26 +136,18 @@ def reclassify(g: Graph, p: PathPartition, vc: VertexClassification, dirty) -> N
 
 def _balance(p: PathPartition, vc: VertexClassification, v: int) -> None:
     """Record v's balanced targets and its moderate and heavy marks."""
-    ends, cyc, singles = [], [], []
+    targets, ends = [], []
     if not is_v1(p, v):
-        for w in vc.free_nbrs[v]:
-            if not is_v1(p, w):
-                continue
-            comp = p.components[p.owner[w]]
-            if comp.kind == CYCLE:
-                cyc.append((w, len(comp.vertices)))
-            elif comp.kind == SINGLETON:
-                singles.append(w)
-            else:
-                ends.append(w)
-    n_bal = len(ends) + len(cyc) + len(singles)
-    if n_bal:
-        vc.balanced_path_ends[v] = sorted(ends)
-        vc.balanced_cycles[v] = sorted(cyc)
-        vc.balanced_singletons[v] = sorted(singles)
+        for w in vc.free_nbrs[v]:  # ascending, so both lists are too
+            if is_v1(p, w):
+                targets.append(w)
+                if p.components[p.owner[w]].kind == PATH:
+                    ends.append(w)
+    if targets:
+        vc.balanced[v] = targets
+        vc.balanced_path_ends[v] = ends
     else:
+        vc.balanced.pop(v, None)
         vc.balanced_path_ends.pop(v, None)
-        vc.balanced_cycles.pop(v, None)
-        vc.balanced_singletons.pop(v, None)
-    (vc.moderate.add if ends and n_bal >= 2 else vc.moderate.discard)(v)
+    (vc.moderate.add if ends and len(targets) >= 2 else vc.moderate.discard)(v)
     (vc.heavy.add if len(ends) >= 3 else vc.heavy.discard)(v)

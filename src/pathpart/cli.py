@@ -114,15 +114,14 @@ def _solve_input(args, record_trace: bool = False):
     of a rejected input."""
     try:
         g = _load_graph(args)
-    except (OSError, GraphError) as exc:
+    except GraphError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_INVALID
     rules = _resolve_rules(g, args)
     if isinstance(rules, int):
         return rules
     try:
-        report = solve(g, seed=args.seed, depth=args.depth, rules=rules,
-                       record_trace=record_trace)
+        report = solve(g, seed=args.seed, rules=rules, record_trace=record_trace)
     except MoveEngineError as exc:
         # irregular inputs under forced rules may keep singletons no shift absorbs
         print(f"{args.command}: {exc}", file=sys.stderr)
@@ -155,7 +154,7 @@ def cmd_oracle(args) -> int:
     try:
         g = _load_graph(args)
         res = oracle.exact_pi_p(g, budget=args.budget, cap=args.cap)
-    except (OSError, GraphError) as exc:
+    except GraphError as exc:
         print(f"oracle: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except oracle.OracleUnknown as exc:
@@ -205,6 +204,8 @@ def _manifest_jobs(path: str) -> list[dict]:
                 and all(isinstance(a, str) for a in job.get("args", []))):
             raise ValueError(f"job {json.dumps(job)} needs a string \"command\" "
                              "and \"args\" as a list of strings")
+        if job["command"] == "batch":
+            raise ValueError(f"job {json.dumps(job)} runs a batch; jobs cannot nest")
     return jobs
 
 
@@ -253,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="canonicalize and certify an instance")
     s.add_argument("input")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--depth", type=int, default=4)
     s.add_argument("--rules", choices=["auto", "d6", "d5"], default="auto")
     s.add_argument("--json", action="store_true")
     s.add_argument("--timings", action="store_true")
@@ -273,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("audit", help="solve then audit the block bounds")
     a.add_argument("input")
     a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--depth", type=int, default=4)
     a.add_argument("--rules", choices=["auto", "d6", "d5"], default="auto")
     a.add_argument("-o", "--output", type=str, default=None)
     a.set_defaults(func=cmd_audit)
@@ -286,7 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an unreadable input or an unwritable output
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

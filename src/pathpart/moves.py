@@ -1,7 +1,9 @@
 """Partition rewiring: edit primitives, the move catalog, and bounded search.
 
-Every move is a primitive sequence that keeps the partition valid and strictly
-decreases the lexicographic potential (components, -cycles, singletons).
+Every move is decided on the live partition as a list of steps that name
+vertices, and built once, by `apply_move`, into primitives that keep the
+partition valid and strictly decrease the lexicographic potential
+(components, -cycles, singletons).
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ from .graphs import Graph
 from .partition import CYCLE, PATH, SINGLETON, Component, PathPartition
 
 
-# search budgets: singleton-shift states expanded, compound-search nodes
+# search budgets: singleton-shift states expanded, compound-search nodes; and
+# the compound search's depth before its one escalation to depth + 2
 SHIFT_STATE_BUDGET = 100000
 COMPOUND_NODE_BUDGET = 20000
+COMPOUND_DEPTH = 4
 
 
 class MoveEngineError(RuntimeError):
@@ -34,10 +38,12 @@ class SingletonEliminationError(MoveEngineError):
 
 @dataclass
 class Move:
+    """A decided move: `_Builder` steps that name vertices, e.g.
+    `("split_at", (a, b))`, `("join", (u, v))`, `("close_of", (v,))` or
+    `("attach", (u, t))`. Nothing is built until `apply_move` runs them."""
+
     kind: str
-    primitives: list[tuple]
-    phi_before: tuple[int, int, int]
-    phi_after: tuple[int, int, int]
+    steps: list[tuple]
 
 
 # -- primitive application --------------------------------------------------
@@ -104,35 +110,35 @@ def apply_primitive(g: Graph, p: PathPartition, prim: tuple) -> set[int]:
     raise MoveEngineError(f"unknown primitive {prim!r}")
 
 
-def apply_move(g: Graph, p: PathPartition, move: Move) -> set[int]:
-    """Replay the move's primitives in place; returns the vertices they touched."""
-    touched: set[int] = set()
-    for prim in move.primitives:
-        touched |= apply_primitive(g, p, prim)
-    if p.potential() != move.phi_after:
-        raise MoveEngineError("move replay diverged from recorded potential")
-    return touched
+def apply_move(g: Graph, p: PathPartition, move: Move) -> tuple[list[tuple], set[int]]:
+    """Build the move in place: the primitives its steps applied, and the
+    vertices those touched."""
+    bld = _Builder(g, p)
+    bld.run(move.steps)
+    return bld.prims, bld.touched
 
 
 class _Builder:
-    """Applies primitives to a scratch copy while recording them.
+    """Runs steps on `p` in place, recording the primitives they apply and the
+    vertices those touched.
 
-    Finders build the move they have chosen, not every candidate: the derived
-    scan decides on a `_CutView` of the live partition first. The singleton
-    shift and compound searches build each state they expand.
+    `apply_move` builds every applied move this way, on the live partition.
+    The singleton shift and compound searches build each state they expand,
+    on a copy of the state they expand it from.
     """
 
     def __init__(self, g: Graph, p: PathPartition):
         self.g = g
-        self.p = p.copy()
+        self.p = p
         self.prims: list[tuple] = []
+        self.touched: set[int] = set()
 
     def _do(self, prim: tuple) -> None:
-        apply_primitive(self.g, self.p, prim)
+        self.touched |= apply_primitive(self.g, self.p, prim)
         self.prims.append(prim)
 
     def run(self, steps) -> None:
-        """Replay `(method name, args)` steps, e.g. `("join", (u, v))`."""
+        """Run `(method name, args)` steps, e.g. `("join", (u, v))`."""
         for name, args in steps:
             getattr(self, name)(*args)
 
@@ -141,9 +147,6 @@ class _Builder:
 
     def join(self, u: int, v: int) -> None:
         self._do(("join", u, v))
-
-    def close_comp(self, cid: int) -> None:
-        self._do(("close", cid))
 
     def open_at(self, v: int) -> None:
         # cut the cycle edge toward v's smaller cyclic neighbor; v becomes an end
@@ -161,12 +164,6 @@ class _Builder:
         if self.p.components[self.p.owner[t]].kind == CYCLE:
             self.open_at(t)
         self.join(u, t)
-
-    def finish(self, kind: str, phi_before: tuple) -> Move:
-        phi_after = self.p.potential()
-        if not phi_after < phi_before:
-            raise MoveEngineError(f"{kind} move does not improve: {phi_before} -> {phi_after}")
-        return Move(kind, self.prims, phi_before, phi_after)
 
 
 # -- basic moves -------------------------------------------------------------
@@ -197,23 +194,15 @@ def find_basic_move(g: Graph, p: PathPartition, candidates=None) -> Move | None:
     else:
         edge = candidates.first_join()
     if edge is not None:
-        u, v = edge
-        b = _Builder(g, p)
-        if p.kind_of(u) == CYCLE:
-            b.open_at(u)
-        if p.kind_of(v) == CYCLE:
-            b.open_at(v)
-        b.join(u, v)
-        return b.finish("basic", p.potential())
+        opens = [("open_at", (x,)) for x in edge if p.kind_of(x) == CYCLE]
+        return Move("basic", opens + [("join", edge)])
     if candidates is None:
         cid = next((c for c in p.sorted_ids() if closable(g, p, c)), None)
     else:
         cid = candidates.first_closable()
     if cid is None:
         return None
-    b = _Builder(g, p)
-    b.close_comp(cid)
-    return b.finish("basic", p.potential())
+    return Move("basic", [("close_of", (p.components[cid].vertices[0],))])
 
 
 # -- singleton elimination ----------------------------------------------------
@@ -235,13 +224,13 @@ def eliminate_singletons(g: Graph, p: PathPartition) -> Move | None:
     absorbed outright. Otherwise every neighbor is the middle of a size-3
     path; shifting the singleton to such a path's end costs nothing, and the
     search explores shift sequences breadth-first until an absorbing position
-    appears. Returns None when the partition has no singleton.
+    appears, building each shifted state on a copy. Returns None when the
+    partition has no singleton.
     """
     v0 = min((c.vertices[0] for c in p.components.values() if c.kind == SINGLETON),
              default=None)
     if v0 is None:
         return None
-    phi0 = p.potential()
     queue = deque([(p, v0, [])])
     seen = {(v0, _partition_signature(p))}
     expanded = 0
@@ -253,42 +242,30 @@ def eliminate_singletons(g: Graph, p: PathPartition) -> Move | None:
         for w in g.adj[v]:
             kw = state.components[state.owner[w]].kind
             if kw == SINGLETON or (kw == PATH and state.is_end(w)):
-                b = _Builder(g, state)
-                b.join(v, w)
-                return Move("singleton", prefix + b.prims, phi0, b.p.potential())
+                return Move("singleton", prefix + [("join", (v, w))])
             if kw == CYCLE:
-                b = _Builder(g, state)
-                b.attach(v, w)
-                return Move("singleton", prefix + b.prims, phi0, b.p.potential())
+                return Move("singleton", prefix + [("attach", (v, w))])
         for w in g.adj[v]:
             comp = state.components[state.owner[w]]
             if comp.kind != PATH or state.is_end(w) or len(comp.vertices) < 4:
                 continue
             verts = comp.vertices
             i = state.pos[w]
-            b = _Builder(g, state)
-            if i <= len(verts) - 3:
-                b.split_at(w, verts[i + 1])
-            else:
-                b.split_at(verts[i - 1], w)
-            b.join(v, w)
-            return Move("singleton", prefix + b.prims, phi0, b.p.potential())
+            cut = (w, verts[i + 1]) if i <= len(verts) - 3 else (verts[i - 1], w)
+            return Move("singleton", prefix + [("split_at", cut), ("join", (v, w))])
         for w in g.adj[v]:
             comp = state.components[state.owner[w]]
             if comp.kind != PATH or len(comp.vertices) != 3 or state.pos[w] != 1:
                 continue
             x, _, z = comp.vertices
-            for popped in (x, z):
-                b = _Builder(g, state)
-                if popped == x:
-                    b.split_at(x, w)
-                else:
-                    b.split_at(w, z)
-                b.join(v, w)
-                key = (popped, _partition_signature(b.p))
+            for popped, cut in ((x, (x, w)), (z, (w, z))):
+                steps = [("split_at", cut), ("join", (v, w))]
+                shifted = state.copy()
+                _Builder(g, shifted).run(steps)
+                key = (popped, _partition_signature(shifted))
                 if key not in seen:
                     seen.add(key)
-                    queue.append((b.p, popped, prefix + b.prims))
+                    queue.append((shifted, popped, prefix + steps))
     raise SingletonEliminationError(
         f"no absorbing position reachable from singleton {v0}")
 
@@ -348,7 +325,7 @@ class _CutView:
         return self.p.components[self.p.owner[v]].kind == CYCLE
 
 
-def _replay_reconnection(view: _CutView, w1: int, w2: int,
+def _plan_reconnection(view: _CutView, w1: int, w2: int,
                          vc: VertexClassification) -> list[tuple] | None:
     """Plan the steps that turn a one-extra-component split into an improving
     move, or None.
@@ -413,10 +390,9 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification) -> M
     components with one more cycle). Also covers the dangerous-vertex
     configurations whose balanced edges point the wrong way.
 
-    Each candidate is decided on a `_CutView` of the live partition; only the
-    first one with a plan is built.
+    Each candidate is decided on a `_CutView` of the live partition; nothing
+    is built.
     """
-    phi0 = p.potential()
     cls = vc.cls
     for a, b in vc.free_edges():
         if cls[a] in _NO_V2_NEIGHBOUR or cls[b] in _NO_V2_NEIGHBOUR:
@@ -438,16 +414,15 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification) -> M
                     # both cuts facing outward would close the middle into a cycle
                     if p.pos[s_lo] < lo_p and p.pos[s_hi] > hi_p:
                         continue
-                steps = _replay_reconnection(_CutView(p, sa, a, sb, b), sa, sb, vc)
+                steps = _plan_reconnection(_CutView(p, sa, a, sb, b), sa, sb, vc)
                 if steps is not None:
-                    bld = _Builder(g, p)
-                    bld.run([("split_at", (sa, a)), ("split_at", (sb, b)),
-                             ("join", (a, b))] + steps)
-                    return bld.finish("derived", phi0)
-    return _find_dangerous_move(g, p, vc, phi0)
+                    return Move("derived", [("split_at", (sa, a)), ("split_at", (sb, b)),
+                                            ("join", (a, b))] + steps)
+    steps = _find_dangerous_move(p, vc)
+    return None if steps is None else Move("derived", steps)
 
 
-def _find_dangerous_move(g, p, vc, phi0):
+def _find_dangerous_move(p, vc):
     """Reconnections for the one free-edge shape a dangerous vertex may keep.
 
     For heavy x1 next to dangerous v3 with a free edge (v3, u) into a vertex
@@ -476,12 +451,10 @@ def _find_dangerous_move(g, p, vc, phi0):
                 x2 = v2nb[0]
                 if (p.pos[x2] - p.pos[u]) * sign <= 0:
                     continue
-                mv = _stray_inner_anchor_move(g, p, vc, phi0, v3, x1, y1, u, x2, o1, o2)
-                if mv:
-                    return mv
-                mv = _stray_far_neighbor_move(g, p, vc, phi0, v3, x1, y1, u, x2, o1, o2)
-                if mv:
-                    return mv
+                steps = (_stray_inner_anchor_move(p, vc, v3, x1, y1, u, x2, o1, o2)
+                         or _stray_far_neighbor_move(vc, v3, x1, y1, u, x2, o1, o2))
+                if steps:
+                    return steps
     return None
 
 
@@ -489,96 +462,57 @@ def _heavy_external_target(vc, x1, exclude):
     return next((t for t in vc.balanced_path_ends.get(x1, []) if t not in exclude), None)
 
 
-def _stray_inner_anchor_move(g, p, vc, phi0, v3, x1, y1, u, x2, o1, o2):
+def _stray_inner_anchor_move(p, vc, v3, x1, y1, u, x2, o1, o2):
     # every balanced edge of x2 must go to o2
     for t in vc.balanced_targets(x2):
         if t == o2:
             continue
         if t == o1:
             # rotate the path so y1 becomes an end, then use a spare balanced edge of y1
-            bld = _Builder(g, p)
-            bld.split_at(v3, y1)
-            bld.split_at(u, x2)
-            bld.join(x2, o1)
-            bld.join(v3, u)
             s = next((s for s in vc.balanced_targets(y1) if s != o1), None)
             if s is None:
                 return None
-            if s == o2:
-                bld.close_comp(bld.p.owner[y1])
-            else:
-                bld.attach(y1, s)
-            return bld.finish("derived", phi0)
-        tcomp = p.components[p.owner[t]]
-        if tcomp.kind == CYCLE:
+            return [("split_at", (v3, y1)), ("split_at", (u, x2)), ("join", (x2, o1)),
+                    ("join", (v3, u)),
+                    ("close_of", (y1,)) if s == o2 else ("attach", (y1, s))]
+        if p.components[p.owner[t]].kind == CYCLE:
             oy = next(iter(vc.balanced_path_ends.get(y1, [])), None)
             if oy is None:
                 return None
-            bld = _Builder(g, p)
-            if oy == o2:
-                bld.split_at(v3, y1)
-                bld.split_at(u, x2)
-                bld.join(v3, u)
-                bld.join(y1, o2)
-                bld.attach(x2, t)
-            elif oy == o1:
-                ox1 = _heavy_external_target(vc, x1, (o1, o2))
-                if ox1 is None:
-                    return None
-                bld.split_at(x1, v3)
-                bld.split_at(v3, y1)
-                bld.split_at(u, x2)
-                bld.join(x1, ox1)
-                bld.join(y1, o1)
-                bld.join(v3, u)
-                bld.attach(x2, t)
-            else:
-                bld.split_at(v3, y1)
-                bld.split_at(u, x2)
-                bld.join(v3, u)
-                bld.join(y1, oy)
-                bld.attach(x2, t)
-            return bld.finish("derived", phi0)
+            if oy != o1:
+                return [("split_at", (v3, y1)), ("split_at", (u, x2)), ("join", (v3, u)),
+                        ("join", (y1, oy)), ("attach", (x2, t))]
+            ox1 = _heavy_external_target(vc, x1, (o1, o2))
+            if ox1 is None:
+                return None
+            return [("split_at", (x1, v3)), ("split_at", (v3, y1)), ("split_at", (u, x2)),
+                    ("join", (x1, ox1)), ("join", (y1, o1)), ("join", (v3, u)),
+                    ("attach", (x2, t))]
         # t is an end of an external path: free the middle as a new cycle
         ox1 = _heavy_external_target(vc, x1, (o1, t))
         if ox1 is None:
             return None
-        bld = _Builder(g, p)
-        bld.split_at(x1, v3)
-        bld.split_at(u, x2)
-        bld.close_of(v3)
-        bld.join(x1, ox1)
-        bld.join(x2, t)
-        return bld.finish("derived", phi0)
+        return [("split_at", (x1, v3)), ("split_at", (u, x2)), ("close_of", (v3,)),
+                ("join", (x1, ox1)), ("join", (x2, t))]
     return None
 
 
-def _stray_far_neighbor_move(g, p, vc, phi0, v3, x1, y1, u, x2, o1, o2):
+def _stray_far_neighbor_move(vc, v3, x1, y1, u, x2, o1, o2):
     # given x2 anchored to o2, y1's balanced path edges must also go to o2
     if o2 not in vc.balanced_targets(x2):
         return None
     for t in vc.balanced_path_ends.get(y1, []):
         if t == o2:
             continue
-        bld = _Builder(g, p)
-        if t == o1:
-            ox1 = _heavy_external_target(vc, x1, (o1, o2))
-            if ox1 is None:
-                return None
-            bld.split_at(x1, v3)
-            bld.split_at(v3, y1)
-            bld.split_at(u, x2)
-            bld.join(x1, ox1)
-            bld.join(y1, o1)
-            bld.join(v3, u)
-            bld.close_comp(bld.p.owner[x2])
-        else:
-            bld.split_at(v3, y1)
-            bld.split_at(u, x2)
-            bld.join(v3, u)
-            bld.join(y1, t)
-            bld.close_comp(bld.p.owner[x2])
-        return bld.finish("derived", phi0)
+        if t != o1:
+            return [("split_at", (v3, y1)), ("split_at", (u, x2)), ("join", (v3, u)),
+                    ("join", (y1, t)), ("close_of", (x2,))]
+        ox1 = _heavy_external_target(vc, x1, (o1, o2))
+        if ox1 is None:
+            return None
+        return [("split_at", (x1, v3)), ("split_at", (v3, y1)), ("split_at", (u, x2)),
+                ("join", (x1, ox1)), ("join", (y1, o1)), ("join", (v3, u)),
+                ("close_of", (x2,))]
     return None
 
 
@@ -618,7 +552,6 @@ def find_pair_move(g: Graph, p: PathPartition, vc: VertexClassification) -> Move
     into fewer components or one more cycle, as does a-to-o1/b-to-o2 with a
     heavy vertex elsewhere on the path.
     """
-    phi0 = p.potential()
     for cid in p.sorted_ids():
         comp = p.components[cid]
         if comp.kind != PATH or len(comp.vertices) < 4:
@@ -631,35 +564,26 @@ def find_pair_move(g: Graph, p: PathPartition, vc: VertexClassification) -> Move
                 continue
             for ta, ka in _target_kinds(p, vc, a, o1, o2):
                 for tb, kb in _target_kinds(p, vc, b, o1, o2):
-                    mv = _pair_exchange(g, p, phi0, a, b, o1, o2, ta, ka, tb, kb)
-                    if mv:
-                        return mv
-            mv = _splitting_inners_move(g, p, vc, phi0, verts, i, a, b, o1, o2)
-            if mv:
-                return mv
+                    steps = _pair_exchange(p, a, b, o1, o2, ta, ka, tb, kb)
+                    if steps:
+                        return Move("pair", steps)
+            steps = _splitting_inners_move(p, vc, verts, i, a, b, o1, o2)
+            if steps:
+                return Move("pair", steps)
     return None
 
 
-def _pair_exchange(g, p, phi0, a, b, o1, o2, ta, ka, tb, kb):
+def _pair_exchange(p, a, b, o1, o2, ta, ka, tb, kb):
+    split = ("split_at", (a, b))
     if ka == "o2":
         if kb == "o2":
             return None
-        bld = _Builder(g, p)
-        bld.split_at(a, b)
-        bld.join(a, o2)
-        if kb == "o1":
-            bld.close_comp(bld.p.owner[b])
-        else:
-            bld.attach(b, tb)
-        return bld.finish("pair", phi0)
+        return [split, ("join", (a, o2)),
+                ("close_of", (b,)) if kb == "o1" else ("attach", (b, tb))]
     if ka == "o1":
         if kb != "ext":
             return None
-        bld = _Builder(g, p)
-        bld.split_at(a, b)
-        bld.close_comp(bld.p.owner[a])
-        bld.join(b, tb)
-        return bld.finish("pair", phi0)
+        return [split, ("close_of", (a,)), ("join", (b, tb))]
     if ka == "cyc":
         if kb == "o2":
             return None
@@ -667,44 +591,22 @@ def _pair_exchange(g, p, phi0, a, b, o1, o2, ta, ka, tb, kb):
             if p.owner[ta] == p.owner[tb]:
                 if not _cycle_adjacent(p, ta, tb):
                     return None
-                bld = _Builder(g, p)
-                bld.open_edge(ta, tb)
-                bld.split_at(a, b)
-                bld.join(a, ta)
-                bld.join(b, tb)
-                return bld.finish("pair", phi0)
-            bld = _Builder(g, p)
-            bld.split_at(a, b)
-            bld.attach(a, ta)
-            bld.attach(b, tb)
-            return bld.finish("pair", phi0)
-        bld = _Builder(g, p)
-        bld.split_at(a, b)
+                return [("open_edge", (ta, tb)), split, ("join", (a, ta)), ("join", (b, tb))]
+            return [split, ("attach", (a, ta)), ("attach", (b, tb))]
         if kb == "o1":
-            bld.join(b, o1)
-            bld.attach(a, ta)
-        else:
-            bld.attach(a, ta)
-            bld.join(b, tb)
-        return bld.finish("pair", phi0)
+            return [split, ("join", (b, o1)), ("attach", (a, ta))]
+        return [split, ("attach", (a, ta)), ("join", (b, tb))]
     # ka == "ext"
     if kb == "ext" and tb == ta:
         return None
-    bld = _Builder(g, p)
-    bld.split_at(a, b)
     if kb == "o1":
-        bld.join(b, o1)
-        bld.join(a, ta)
-    elif kb == "o2":
-        bld.join(a, ta)
-        bld.close_comp(bld.p.owner[b])
-    else:
-        bld.join(a, ta)
-        bld.attach(b, tb)
-    return bld.finish("pair", phi0)
+        return [split, ("join", (b, o1)), ("join", (a, ta))]
+    if kb == "o2":
+        return [split, ("join", (a, ta)), ("close_of", (b,))]
+    return [split, ("join", (a, ta)), ("attach", (b, tb))]
 
 
-def _splitting_inners_move(g, p, vc, phi0, verts, i, a, b, o1, o2):
+def _splitting_inners_move(p, vc, verts, i, a, b, o1, o2):
     if o1 not in vc.balanced_targets(a) or o2 not in vc.balanced_targets(b):
         return None
     for hu in verts[1:i]:
@@ -713,32 +615,22 @@ def _splitting_inners_move(g, p, vc, phi0, verts, i, a, b, o1, o2):
         t = _heavy_external_target(vc, hu, (o1, o2))
         if t is None:
             continue
-        bld = _Builder(g, p)
-        bld.split_at(a, b)
-        bld.close_comp(bld.p.owner[b])
-        bld.split_at(hu, verts[p.pos[hu] + 1])
-        bld.join(a, o1)
-        bld.join(hu, t)
-        return bld.finish("pair", phi0)
+        return [("split_at", (a, b)), ("close_of", (b,)),
+                ("split_at", (hu, verts[p.pos[hu] + 1])), ("join", (a, o1)), ("join", (hu, t))]
     for hu in verts[i + 2:-1]:
         if hu not in vc.heavy:
             continue
         t = _heavy_external_target(vc, hu, (o1, o2))
         if t is None:
             continue
-        bld = _Builder(g, p)
-        bld.split_at(a, b)
-        bld.close_comp(bld.p.owner[a])
-        bld.split_at(verts[p.pos[hu] - 1], hu)
-        bld.join(b, o2)
-        bld.join(hu, t)
-        return bld.finish("pair", phi0)
+        return [("split_at", (a, b)), ("close_of", (a,)),
+                ("split_at", (verts[p.pos[hu] - 1], hu)), ("join", (b, o2)), ("join", (hu, t))]
     return None
 
 
 # -- bounded generic search ------------------------------------------------------
 
-def find_compound_move(g: Graph, p: PathPartition, depth: int = 4,
+def find_compound_move(g: Graph, p: PathPartition, depth: int = COMPOUND_DEPTH,
                        focus: set[int] | None = None) -> Move | None:
     """Iterative-deepening search over rewiring steps seeded at free edges
     incident to the focus set.
@@ -750,22 +642,16 @@ def find_compound_move(g: Graph, p: PathPartition, depth: int = 4,
     phi0 = p.potential()
     budget = [COMPOUND_NODE_BUDGET]
     for limit in range(1, depth + 1):
-        prims = _compound_dfs(g, p, phi0, limit, focus, budget)
-        if prims is not None:
-            scratch = p.copy()
-            for prim in prims:
-                apply_primitive(g, scratch, prim)
-            phi_after = scratch.potential()
-            if not phi_after < phi0:
-                raise MoveEngineError("compound search returned non-improving move")
-            return Move("compound", prims, phi0, phi_after)
+        steps = _compound_dfs(g, p, phi0, limit, focus, budget)
+        if steps is not None:
+            return Move("compound", steps)
         if budget[0] <= 0:
             break
     return None
 
 
 def _end_variants(state, v):
-    """Primitive prefixes that leave v joinable: none, a split, or a cycle opening."""
+    """Step prefixes that leave v joinable: none, a split, or a cycle opening."""
     comp = state.components[state.owner[v]]
     if comp.kind == SINGLETON or (comp.kind == PATH and state.is_end(v)):
         return [[]]
@@ -802,6 +688,7 @@ def _edge_steps(state, u, v):
 
 
 def _compound_dfs(g, state, phi0, remaining, focus, budget):
+    """Steps from `state` to a partition below phi0, each state built on a copy."""
     for u, v in g.edges:
         if focus is not None and u not in focus and v not in focus:
             continue
@@ -814,15 +701,15 @@ def _compound_dfs(g, state, phi0, remaining, focus, budget):
             if budget[0] <= 0:
                 return None
             budget[0] -= 1
-            bld = _Builder(g, state)
+            nxt = state.copy()
             try:
-                bld.run(step)
+                _Builder(g, nxt).run(step)
             except MoveEngineError:
                 continue
-            if bld.p.potential() < phi0:
-                return bld.prims
+            if nxt.potential() < phi0:
+                return step
             if remaining > 1:
-                rest = _compound_dfs(g, bld.p, phi0, remaining - 1, focus, budget)
+                rest = _compound_dfs(g, nxt, phi0, remaining - 1, focus, budget)
                 if rest is not None:
-                    return bld.prims + rest
+                    return step + rest
     return None

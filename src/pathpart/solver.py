@@ -109,8 +109,9 @@ class SolveState:
         self.dirty: set[int] = set()
         self.vc: VertexClassification | None = None
 
-    def apply(self, mv: moves.Move) -> None:
-        touched = moves.apply_move(self.g, self.p, mv)
+    def apply(self, mv: moves.Move) -> list[tuple]:
+        """Build the move on the live partition; returns its primitives."""
+        prims, touched = moves.apply_move(self.g, self.p, mv)
         self.dirty |= touched
         for cid in {self.p.owner[v] for v in touched}:
             comp = self.p.components[cid]
@@ -121,6 +122,7 @@ class SolveState:
             for v in joinable:
                 for i in self.incident[v]:
                     heapq.heappush(self.joins, i)
+        return prims
 
     def first_join(self) -> tuple[int, int] | None:
         while self.joins:
@@ -199,16 +201,17 @@ def _focus_for(vc: VertexClassification, failing_vertices) -> set[int]:
     return focus
 
 
-def canonicalize(g: Graph, p: PathPartition, depth: int = 4,
-                 rules: RuleSet | None = None, record_trace: bool = False,
-                 validate_each: bool = False) -> SolveReport:
+def canonicalize(g: Graph, p: PathPartition, rules: RuleSet | None = None,
+                 record_trace: bool = False, validate_each: bool = False) -> SolveReport:
     """Apply the first available move until none applies, then certify.
 
     Move priority: basic, singleton elimination, derived, pair exchange. If
     certification fails, a bounded compound search focused on the failing
-    components runs at `depth`, escalating once to depth+2, before giving up
-    and reporting the failing certificate. With `validate_each`, every move
-    of the loop is followed by a partition validity check and
+    components runs at `moves.COMPOUND_DEPTH`, escalating once to two more,
+    before giving up and reporting the failing certificate. Every move must
+    strictly lower the potential (MoveEngineError otherwise), and with
+    `record_trace` each one is traced with its primitives. With
+    `validate_each`, every move is followed by a partition validity check and
     `SolveState.check`.
     """
     t0 = time.perf_counter()
@@ -216,30 +219,34 @@ def canonicalize(g: Graph, p: PathPartition, depth: int = 4,
     counts: dict[str, int] = {}
     phis = [p.potential()]
     trace: list[dict] = []
-    step = 0
     state = SolveState(g, p)
+
+    def apply(mv: moves.Move) -> None:
+        prims = state.apply(mv)
+        phi_before, phi_after = phis[-1], p.potential()
+        if not phi_after < phi_before:
+            raise moves.MoveEngineError(
+                f"{mv.kind} move does not improve: {phi_before} -> {phi_after}")
+        if validate_each:
+            ok, viol = validate_partition(g, p)
+            if not ok:
+                raise moves.MoveEngineError(f"invalid partition after move: {viol}")
+            state.check()
+        counts[mv.kind] = counts.get(mv.kind, 0) + 1
+        phis.append(phi_after)
+        if record_trace:
+            trace.append({"step": len(trace), "move_kind": mv.kind,
+                          "primitives": [list(x) for x in prims],
+                          "phi_before": list(phi_before),
+                          "phi_after": list(phi_after)})
 
     def run_loop():
         """Move to a fixed point and return its classification."""
-        nonlocal step
         while True:
             mv = _next_move(g, p, state)
             if mv is None:
                 return state.classification()
-            state.apply(mv)
-            if validate_each:
-                ok, viol = validate_partition(g, p)
-                if not ok:
-                    raise moves.MoveEngineError(f"invalid partition after move: {viol}")
-                state.check()
-            counts[mv.kind] = counts.get(mv.kind, 0) + 1
-            phis.append(p.potential())
-            if record_trace:
-                trace.append({"step": step, "move_kind": mv.kind,
-                              "primitives": [list(x) for x in mv.primitives],
-                              "phi_before": list(mv.phi_before),
-                              "phi_after": list(mv.phi_after)})
-            step += 1
+            apply(mv)
 
     vc = run_loop()
     report = SolveReport(partition=p, vc=vc, move_counts=counts, wall_time=0.0,
@@ -249,7 +256,7 @@ def canonicalize(g: Graph, p: PathPartition, depth: int = 4,
         d = infer_degree(g)
         rules = ruleset_for_degree(d) if d in (5, 6) else None
     if rules is not None:
-        search_depth = depth
+        depth = moves.COMPOUND_DEPTH
         while True:
             ledger = apply_rules(g, p, vc, rules)
             cert = certify(g, p, ledger, rules)
@@ -259,25 +266,23 @@ def canonicalize(g: Graph, p: PathPartition, depth: int = 4,
                 break
             failing = [v for viol in cert.violations for v in viol["component"]]
             focus = _focus_for(vc, failing)
-            mv = moves.find_compound_move(g, p, depth=search_depth, focus=focus)
-            if mv is None and search_depth == depth:
+            mv = moves.find_compound_move(g, p, depth=depth, focus=focus)
+            if mv is None and depth == moves.COMPOUND_DEPTH:
                 # the partition is unchanged, so only the search reruns
-                search_depth = depth + 2
+                depth += 2
                 report.escalated = True
-                mv = moves.find_compound_move(g, p, depth=search_depth, focus=focus)
+                mv = moves.find_compound_move(g, p, depth=depth, focus=focus)
             if mv is None:
                 break
-            state.apply(mv)
-            counts["compound"] = counts.get("compound", 0) + 1
-            phis.append(p.potential())
+            apply(mv)
             vc = run_loop()
             report.vc = vc
     report.wall_time = time.perf_counter() - t0
     return report
 
 
-def solve(g: Graph, seed: int = 0, depth: int = 4,
-          rules: RuleSet | None = None, record_trace: bool = False) -> SolveReport:
+def solve(g: Graph, seed: int = 0, rules: RuleSet | None = None,
+          record_trace: bool = False) -> SolveReport:
     """Initial partition plus canonicalize, the one-call pipeline."""
-    return canonicalize(g, initial_partition(g, seed), depth=depth, rules=rules,
+    return canonicalize(g, initial_partition(g, seed), rules=rules,
                         record_trace=record_trace)

@@ -158,7 +158,8 @@ def test_batch_stdout_is_one_json_line_per_job(tmp_path, capsys):
     '[{"command": "solve", "args": ["g.txt"',
     None,
     '[{"command": "solve", "args": "g.txt"}]',
-], ids=["no-command", "truncated-json", "missing-file", "args-not-a-list"])
+    '[{"command": "batch", "args": ["jobs.json"]}]',
+], ids=["no-command", "truncated-json", "missing-file", "args-not-a-list", "nested-batch"])
 def test_batch_rejects_a_malformed_manifest(tmp_path, capsys, manifest):
     path = tmp_path / "jobs.json"
     if manifest is not None:
@@ -166,6 +167,28 @@ def test_batch_rejects_a_malformed_manifest(tmp_path, capsys, manifest):
     assert main(["batch", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("batch: ")
+
+
+# degree-6 rules on two K6s solve, then fail certification and write a bundle
+@pytest.mark.parametrize("args", [
+    ["solve", "{inst}", "--rules", "d6", "-o", "{out}"],
+    ["solve", "{inst}", "--rules", "d6", "--trace", "{out}"],
+    ["solve", "{inst}", "--rules", "d6", "--bundle-dir", "{out}"],
+    ["gen", "--cliques", "-o", "{out}"],
+], ids=["output", "trace", "bundle-dir", "gen-output"])
+def test_unwritable_output_is_invalid(tmp_path, capsys, args):
+    inst = _write(tmp_path, "k6s.txt", gen_disjoint_cliques(5, 2, seed=0))
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    args = [a.format(inst=inst, out=blocker / "out") for a in args]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{args[0]}: ") and "Traceback" not in err
+    manifest = tmp_path / "jobs.json"
+    manifest.write_text(json.dumps([{"command": args[0], "args": args[1:]}]))
+    assert main(["batch", str(manifest)]) == 2
+    (record,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert record["exit"] == 2 and record["stderr"].startswith(f"{args[0]}: ")
 
 
 def test_forced_rules_on_empty_graph_certify_vacuously(tmp_path):

@@ -21,12 +21,12 @@ def _other_end(p, cid, v):
     return comp.vertices[-1] if comp.vertices[0] == v else comp.vertices[0]
 
 
-def _built_reconnection(bld, w1, w2, vc, phi0):
-    """The reconnection decided on a copy built by the split, split and join."""
+def _built_reconnection(p0, w1, w2, vc):
+    """The reconnection steps, decided on a copy built by the split, split and
+    join."""
     if w2 in vc.heavy and w1 not in vc.heavy:
         w1, w2 = w2, w1
     x1, x2 = w1, w2
-    p0 = bld.p
     q1 = p0.owner[x1]
     t1 = vc.balanced_path_ends.get(x1, [])
     t2 = vc.balanced_targets(x2)
@@ -38,9 +38,7 @@ def _built_reconnection(bld, w1, w2, vc, phi0):
             for ox1 in t1:
                 if ox1 == ox2 or p0.owner[ox1] in (q1, c2):
                     continue
-                bld.attach(x2, ox2)
-                bld.attach(x1, ox1)
-                return bld.finish("derived", phi0)
+                return [("attach", (x2, ox2)), ("attach", (x1, ox1))]
         return None
     q2 = p0.owner[x2]
     o1 = _other_end(p0, q1, x1)
@@ -51,34 +49,25 @@ def _built_reconnection(bld, w1, w2, vc, phi0):
             ox1 = next((t for t in t1 if t not in (o1, o2)), None)
             if ox1 is None:
                 continue
-            bld.close_comp(q2)
-            bld.attach(x1, ox1)
-            return bld.finish("derived", phi0)
+            return [("close_of", (x2,)), ("attach", (x1, ox1))]
         if c2 == q1:
             ox1 = next((t for t in t1 if t not in (o1, o2)), None)
             if ox1 is None:
                 continue
-            bld.join(x2, ox2)
-            bld.attach(x1, ox1)
-            return bld.finish("derived", phi0)
+            return [("join", (x2, ox2)), ("attach", (x1, ox1))]
         if p0.components[c2].kind == CYCLE:
             ox1 = next((t for t in t1 if t not in (ox2, o1)), None)
         else:
             ox1 = next((t for t in t1 if t != ox2), None)
         if ox1 is None:
             continue
-        bld.attach(x2, ox2)
-        if ox1 == o1:
-            bld.close_comp(q1)
-        else:
-            bld.attach(x1, ox1)
-        return bld.finish("derived", phi0)
+        return [("attach", (x2, ox2)),
+                ("close_of", (x1,)) if ox1 == o1 else ("attach", (x1, ox1))]
     return None
 
 
 def _built_derived_move(g, p, vc):
     """Every candidate split, split and join built on a copy of p."""
-    phi0 = p.potential()
     for a, b in vc.free_edges():
         if p.components[p.owner[a]].kind != PATH or p.components[p.owner[b]].kind != PATH:
             continue
@@ -96,14 +85,14 @@ def _built_derived_move(g, p, vc):
                     s_hi = sb if lo_v == a else sa
                     if p.pos[s_lo] < lo_p and p.pos[s_hi] > hi_p:
                         continue
-                bld = _Builder(g, p)
-                bld.split_at(sa, a)
-                bld.split_at(sb, b)
-                bld.join(a, b)
-                mv = _built_reconnection(bld, sa, sb, vc, phi0)
-                if mv:
-                    return mv
-    return _find_dangerous_move(g, p, vc, phi0)
+                cuts = [("split_at", (sa, a)), ("split_at", (sb, b)), ("join", (a, b))]
+                built = p.copy()
+                _Builder(g, built).run(cuts)
+                steps = _built_reconnection(built, sa, sb, vc)
+                if steps:
+                    return moves.Move("derived", cuts + steps)
+    steps = _find_dangerous_move(p, vc)
+    return None if steps is None else moves.Move("derived", steps)
 
 
 def _outcome(find, g, p, vc):
@@ -158,4 +147,6 @@ def test_derived_scan_matches_building_every_candidate(data):
         assert mv == _outcome(_built_derived_move, g, p, vc)
         if not isinstance(mv, moves.Move):
             break
+        phi = p.potential()
         moves.apply_move(g, p, mv)
+        assert p.potential() < phi

@@ -6,6 +6,8 @@ import json
 
 from pathpart.cli import main
 from pathpart.graphs import Graph, gen_disjoint_cliques, write_edge_list
+from pathpart.partition import PathPartition
+from pathpart.solver import solve
 
 # double-edge switches (a, b), (c, d) -> (a, d), (c, b) on 12 disjoint K7s;
 # the solve makes 7 basic, 4 derived and 1 pair move
@@ -39,3 +41,18 @@ def test_perturbed_clique_trace_and_report_are_golden(tmp_path):
     assert {"derived", "pair"} <= kinds
     assert _sha256(trace) == TRACE_SHA256
     assert _sha256(out) == JSON_SHA256
+
+
+def test_a_solve_copies_the_partition_once(monkeypatch):
+    # canonicalize copies its input; every move is then built in place
+    copies = []
+    copy = PathPartition.copy
+
+    def counted(self):
+        copies.append(self)
+        return copy(self)
+
+    monkeypatch.setattr(PathPartition, "copy", counted)
+    report = solve(_perturbed_cliques())
+    assert report.move_counts == {"basic": 7, "derived": 4, "pair": 1}
+    assert len(copies) == 1

@@ -29,7 +29,6 @@ def _apply_and_check(g, p, mv):
     ok, violations = validate_partition(g, p)
     assert ok, violations
     assert p.potential() < phi
-    assert p.potential() == mv.phi_after
 
 
 def test_basic_join_of_adjacent_ends():
@@ -102,7 +101,7 @@ def test_singleton_two_step_shift():
     assert find_basic_move(g, p) is None
     mv = eliminate_singletons(g, p)
     assert mv is not None
-    assert len(mv.primitives) == 4  # shift (split+join) then split+attach
+    assert len(mv.steps) == 4  # shift (split+join) then split+attach
     _apply_and_check(g, p, mv)
     assert p.singleton_count() == 0
     assert p.component_count() == 3

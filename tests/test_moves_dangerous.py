@@ -101,9 +101,9 @@ def test_far_neighbor_external_target_via_direct_scan():
         18, paths=[list(range(10)), [10, 11], [12, 13], [14, 15], [16, 17]])
     vc = _classified(g, p)
     assert 3 in vc.dangerous
-    mv = moves._find_dangerous_move(g, p, vc, p.potential())
-    assert mv is not None
-    _apply_and_check(g, p, mv)
+    steps = moves._find_dangerous_move(p, vc)
+    assert steps is not None
+    _apply_and_check(g, p, moves.Move("derived", steps))
 
 
 def test_splitting_inners_with_heavy_before_the_pair():

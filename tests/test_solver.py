@@ -1,5 +1,6 @@
 import itertools
 
+import pytest
 from hypothesis import given, strategies as st
 
 from pathpart import moves
@@ -168,3 +169,14 @@ def test_focus_is_two_free_edges_around_the_failing_vertices():
     assert _focus_for(vc, [0]) == {0, 4, 6}
     assert _focus_for(vc, [0, 7]) == {0, 1, 4, 6, 7}
     assert _focus_for(vc, [3]) == {3}
+
+
+@pytest.mark.parametrize("finder", ["find_basic_move", "eliminate_singletons"])
+def test_a_move_that_does_not_improve_is_refused(monkeypatch, finder):
+    # a move that only splits the path raises the component count
+    g = complete_graph(7)
+    p = PathPartition.from_lists(7, paths=[list(range(7))])
+    monkeypatch.setattr(moves, "find_basic_move", lambda *args: None)
+    monkeypatch.setattr(moves, finder, lambda *args: moves.Move("split", [("split_at", (2, 3))]))
+    with pytest.raises(moves.MoveEngineError, match=r"split move does not improve: \(1, 0, 0\)"):
+        canonicalize(g, p)

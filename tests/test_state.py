@@ -25,15 +25,25 @@ def _incremental(state):
         return exc.edge
 
 
+def _step(p, prim):
+    """The builder step that applies `prim`."""
+    op = prim[0]
+    if op == "split":
+        return ("split_at", prim[2:])
+    if op == "join":
+        return ("join", prim[1:])
+    if op == "close":
+        return ("close_of", (p.components[prim[1]].vertices[0],))
+    return ("open_edge", prim[2:])
+
+
 @given(st.data())
 def test_state_tracks_random_primitives(data):
     g, p = draw_start(data)
     state = SolveState(g, p)
     for _ in range(data.draw(st.integers(1, 30), label="steps")):
         prim = data.draw(st.sampled_from(legal_primitives(g, p)), label="primitive")
-        after = p.copy()
-        moves.apply_primitive(g, after, prim)
-        state.apply(moves.Move("random", [prim], p.potential(), after.potential()))
+        assert state.apply(moves.Move("random", [_step(p, prim)])) == [prim]
         assert validate_partition(g, p)[0]
         # reading only now and then lets the dirty region build up over steps
         if data.draw(st.booleans(), label="read classification"):

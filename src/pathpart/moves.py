@@ -8,7 +8,7 @@ partition valid and strictly decrease the lexicographic potential
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 
@@ -299,8 +299,7 @@ class _CutView:
         bounds = self.bounds.get(cid)
         if bounds is None:
             return (cid, 0, len(self.p.components[cid].vertices))
-        i = self.p.pos[v]
-        k = next(k for k in range(1, len(bounds)) if i < bounds[k])
+        k = bisect_right(bounds, self.p.pos[v])
         return (cid, bounds[k - 1], bounds[k])
 
     def _far(self, seg: tuple[int, int, int], v: int) -> int:
@@ -384,22 +383,33 @@ def _plan_reconnection(view: _CutView, w1: int, w2: int,
 _NO_V2_NEIGHBOUR = (V2A, V5)
 
 
-def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification) -> Move | None:
+def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
+                      failures: dict | None = None) -> Move | None:
     """Split one or two paths around a free edge so that both new end-vertices
     are V2, then reconnect the pieces into fewer components (or equal
     components with one more cycle). Also covers the dangerous-vertex
     configurations whose balanced edges point the wrong way.
 
     Each candidate is decided on a `_CutView` of the live partition; nothing
-    is built.
+    is built. With `failures` (see solver.SolveState), a free edge that
+    decided a view and found no move is recorded with the components its
+    verdict read, `_watches`, and skipped while each is alive with the same
+    kind; the scan still returns the first hit in edge order.
     """
     cls = vc.cls
+    comps = p.components
     for a, b in vc.free_edges():
         if cls[a] in _NO_V2_NEIGHBOUR or cls[b] in _NO_V2_NEIGHBOUR:
             continue
-        if p.components[p.owner[a]].kind != PATH or p.components[p.owner[b]].kind != PATH:
+        if comps[p.owner[a]].kind != PATH or comps[p.owner[b]].kind != PATH:
             continue
+        if failures is not None:
+            watches = failures.get((a, b))
+            if watches is not None and all(
+                    cid in comps and comps[cid].kind == kind for cid, kind in watches):
+                continue
         same = p.owner[a] == p.owner[b]
+        viewed = False
         for sa in p.path_neighbors(a):
             if not vc.is_v2(sa):
                 continue
@@ -414,12 +424,30 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification) -> M
                     # both cuts facing outward would close the middle into a cycle
                     if p.pos[s_lo] < lo_p and p.pos[s_hi] > hi_p:
                         continue
+                viewed = True
                 steps = _plan_reconnection(_CutView(p, sa, a, sb, b), sa, sb, vc)
                 if steps is not None:
                     return Move("derived", [("split_at", (sa, a)), ("split_at", (sb, b)),
                                             ("join", (a, b))] + steps)
+        # an edge rejected before any view is cheaper to re-check than to watch
+        if viewed and failures is not None:
+            failures[a, b] = _watches(g, p, a, b)
     steps = _find_dangerous_move(p, vc)
     return None if steps is None else Move("derived", steps)
+
+
+def _watches(g: Graph, p: PathPartition, a: int, b: int) -> list[tuple[int, str]]:
+    """(cid, kind) of every component the verdict on free edge (a, b) reads:
+    those of a and b, which hold the cuts, the pieces and the path neighbours,
+    and those of each path neighbour's graph neighbours, which decide its V2
+    class, heavy mark and balanced targets and own the targets the
+    reconnection reads. A split, join or open makes a fresh id and a close
+    changes the kind, so while these all stand the verdict stands."""
+    cids = {p.owner[a], p.owner[b]}
+    for x in (a, b):
+        for s in p.path_neighbors(x):
+            cids.update(p.owner[w] for w in g.adj[s])
+    return [(cid, p.components[cid].kind) for cid in cids]
 
 
 def _find_dangerous_move(p, vc):

@@ -85,7 +85,8 @@ class SolveReport:
 
 
 class SolveState:
-    """The live partition's classification and basic-move candidates.
+    """The live partition's classification, basic-move candidates and
+    derived-scan failures.
 
     The classification is built from scratch once, the first time a step reads
     it: before basic moves first run out, an edge may still join two cycles,
@@ -95,7 +96,10 @@ class SolveState:
     Join candidates are a min-heap of edge indices and closure candidates a
     min-heap of path ids, validated lazily: a move pushes the edges at the
     joinable vertices and the id of each path it touched, so the first valid
-    entry is the one a scan of E or of the components would find.
+    entry is the one a scan of E or of the components would find. The
+    derived scan's failures are validated lazily the same way: each free edge
+    whose views found no move keeps the components its verdict read, and
+    `find_derived_move` skips it while they stand.
     """
 
     def __init__(self, g: Graph, p: PathPartition):
@@ -108,6 +112,7 @@ class SolveState:
         self.paths = sorted(cid for cid, c in p.components.items() if c.kind == PATH)
         self.dirty: set[int] = set()
         self.vc: VertexClassification | None = None
+        self.derived_failures: dict[tuple[int, int], list[tuple[int, str]]] = {}
 
     def apply(self, mv: moves.Move) -> list[tuple]:
         """Build the move on the live partition; returns its primitives."""
@@ -164,15 +169,21 @@ class SolveState:
 
     def check(self) -> None:
         """Raise MoveEngineError where the basic move or, once built, the
-        classification differs from one computed from scratch."""
+        classification or the derived move differs from one computed from
+        scratch."""
         g, p = self.g, self.p
         if moves.find_basic_move(g, p, self) != moves.find_basic_move(g, p):
             raise moves.MoveEngineError("basic-move candidates diverged from a scan of E")
         if self.vc is None:
             return
         fresh = _classified(lambda: classify_vertices(g, p, classify_edges(g, p)))
-        if _classified(self.classification) != fresh:
+        vc = _classified(self.classification)
+        if vc != fresh:
             raise moves.MoveEngineError("incremental classification diverged from scratch")
+        if (isinstance(vc, VertexClassification) and
+                moves.find_derived_move(g, p, vc, self.derived_failures)
+                != moves.find_derived_move(g, p, vc)):
+            raise moves.MoveEngineError("derived-scan failures diverged from a full scan")
 
 
 def _classified(classify):
@@ -189,7 +200,8 @@ def _next_move(g: Graph, p: PathPartition, state: SolveState) -> moves.Move | No
     if mv:
         return mv
     vc = state.classification()
-    return moves.find_derived_move(g, p, vc) or moves.find_pair_move(g, p, vc)
+    return (moves.find_derived_move(g, p, vc, state.derived_failures)
+            or moves.find_pair_move(g, p, vc))
 
 
 def _focus_for(vc: VertexClassification, failing_vertices) -> set[int]:

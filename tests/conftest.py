@@ -87,3 +87,15 @@ def legal_primitives(g: Graph, p: PathPartition) -> list[tuple]:
     prims += [("join", u, v) for u, v in g.edges
               if p.owner[u] != p.owner[v] and p.is_end(u) and p.is_end(v)]
     return prims
+
+
+def step_for(p: PathPartition, prim: tuple) -> tuple:
+    """The builder step that applies `prim`."""
+    op = prim[0]
+    if op == "split":
+        return ("split_at", prim[2:])
+    if op == "join":
+        return ("join", prim[1:])
+    if op == "close":
+        return ("close_of", (p.components[prim[1]].vertices[0],))
+    return ("open_edge", prim[2:])

@@ -1,17 +1,20 @@
-"""Property test: the derived scan, deciding each candidate on a view of the
+"""Property tests: the derived scan, deciding each candidate on a view of the
 live partition, returns the move that building every candidate on a copy
-returns."""
+returns; and skipping the free edges whose recorded failures still stand
+returns the move a full scan returns."""
+
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from pathpart import moves
-from pathpart.classify import classify_edges, classify_vertices
+from pathpart.classify import CrossCycleError, classify_edges, classify_vertices
 from pathpart.graphs import Graph, gen_disjoint_cliques
 from pathpart.moves import MoveEngineError, _Builder, _find_dangerous_move
 from pathpart.partition import CYCLE, PATH, SINGLETON, PathPartition
-from pathpart.solver import initial_partition
+from pathpart.solver import SolveState, canonicalize, initial_partition
 
-from conftest import draw_start, legal_primitives
+from conftest import draw_start, legal_primitives, step_for
 
 
 def _other_end(p, cid, v):
@@ -150,3 +153,47 @@ def test_derived_scan_matches_building_every_candidate(data):
         phi = p.potential()
         moves.apply_move(g, p, mv)
         assert p.potential() < phi
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_derived_failures_match_a_full_scan_along_a_solve(data):
+    if data.draw(st.booleans(), label="perturbed cliques"):
+        g, p = _draw_perturbed_cliques(data)
+    else:
+        g, p = draw_start(data)
+    find = moves.find_derived_move
+    failures_seen = []
+
+    def checked(g, p, vc, failures=None):
+        mv = find(g, p, vc, failures)
+        assert mv == find(g, p, vc)
+        failures_seen.append(failures)
+        return mv
+
+    with mock.patch.object(moves, "find_derived_move", checked):
+        canonicalize(g, p)
+    # every call of the solve passed the one failure record it keeps
+    assert len({id(f) for f in failures_seen}) <= 1
+    assert None not in failures_seen
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_derived_failures_match_a_full_scan_under_random_primitives(data):
+    # random splits and joins change a path neighbour's neighbours far more
+    # often than a solve does, which is what the recorded failures must notice
+    if data.draw(st.booleans(), label="perturbed cliques"):
+        g, p = _draw_perturbed_cliques(data)
+    else:
+        g, p = draw_start(data)
+    state = SolveState(g, p)
+    for _ in range(data.draw(st.integers(1, 30), label="steps")):
+        prim = data.draw(st.sampled_from(legal_primitives(g, p)), label="primitive")
+        state.apply(moves.Move("random", [step_for(p, prim)]))
+        try:
+            vc = state.classification()
+        except CrossCycleError:
+            continue
+        assert (moves.find_derived_move(g, p, vc, state.derived_failures)
+                == moves.find_derived_move(g, p, vc))

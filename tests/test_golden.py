@@ -4,10 +4,13 @@ must stay byte-identical across refactors of the move layer."""
 import hashlib
 import json
 
+import pytest
+
+from pathpart import moves
 from pathpart.cli import main
 from pathpart.graphs import Graph, gen_disjoint_cliques, write_edge_list
 from pathpart.partition import PathPartition
-from pathpart.solver import solve
+from pathpart.solver import SolveState, _next_move, initial_partition, solve
 
 # double-edge switches (a, b), (c, d) -> (a, d), (c, b) on 12 disjoint K7s;
 # the solve makes 7 basic, 4 derived and 1 pair move
@@ -56,3 +59,33 @@ def test_a_solve_copies_the_partition_once(monkeypatch):
     report = solve(_perturbed_cliques())
     assert report.move_counts == {"basic": 7, "derived": 4, "pair": 1}
     assert len(copies) == 1
+
+
+def test_a_solve_views_only_the_free_edges_whose_components_changed(monkeypatch):
+    # a free edge whose views found no move is skipped while the components
+    # its verdict read stand (129 views when every call rescanned every edge)
+    views = []
+    init = moves._CutView.__init__
+
+    def counted(self, *args):
+        views.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(moves._CutView, "__init__", counted)
+    report = solve(_perturbed_cliques())
+    assert report.move_counts == {"basic": 7, "derived": 4, "pair": 1}
+    assert len(views) == 118
+
+
+def test_check_refuses_failures_that_hide_a_derived_move():
+    g = _perturbed_cliques()
+    state = SolveState(g, initial_partition(g))
+    while (mv := _next_move(g, state.p, state)).kind != "derived":
+        state.apply(mv)
+    state.check()
+    split_a, split_b, join = mv.steps[:3]
+    assert (split_a[0], split_b[0], join[0]) == ("split_at", "split_at", "join")
+    # a recorded failure that watches no component always stands
+    state.derived_failures[join[1]] = []
+    with pytest.raises(moves.MoveEngineError, match="derived"):
+        state.check()

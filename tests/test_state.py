@@ -8,7 +8,7 @@ from pathpart.classify import CrossCycleError, classify_edges, classify_vertices
 from pathpart.partition import validate_partition
 from pathpart.solver import SolveState
 
-from conftest import draw_start, legal_primitives
+from conftest import draw_start, legal_primitives, step_for
 
 
 def _fresh(g, p):
@@ -25,25 +25,13 @@ def _incremental(state):
         return exc.edge
 
 
-def _step(p, prim):
-    """The builder step that applies `prim`."""
-    op = prim[0]
-    if op == "split":
-        return ("split_at", prim[2:])
-    if op == "join":
-        return ("join", prim[1:])
-    if op == "close":
-        return ("close_of", (p.components[prim[1]].vertices[0],))
-    return ("open_edge", prim[2:])
-
-
 @given(st.data())
 def test_state_tracks_random_primitives(data):
     g, p = draw_start(data)
     state = SolveState(g, p)
     for _ in range(data.draw(st.integers(1, 30), label="steps")):
         prim = data.draw(st.sampled_from(legal_primitives(g, p)), label="primitive")
-        assert state.apply(moves.Move("random", [_step(p, prim)])) == [prim]
+        assert state.apply(moves.Move("random", [step_for(p, prim)])) == [prim]
         assert validate_partition(g, p)[0]
         # reading only now and then lets the dirty region build up over steps
         if data.draw(st.booleans(), label="read classification"):

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graphs import Graph
 from .partition import PathPartition
+
+
+SLAB = 4096  # subsets per array pass of exact_pi_p
 
 
 class OracleUnknown(RuntimeError):
@@ -29,46 +34,54 @@ def exact_pi_p(g: Graph, budget: int = 50_000_000, cap: int = 16) -> OracleResul
     """Minimum number of vertex-disjoint paths covering the graph, by subset DP.
 
     cover[S] is the fewest paths partitioning S and ends[S] the bitmask of
-    vertices that end a path (or are a singleton) in some such cover. Over the
-    subsets in increasing order, cover[S] is the minimum over w in S of
-    cover[S - w], plus one unless w is adjacent to a vertex of ends[S - w]:
-    attaching w to such an end costs no path, and splitting a cover at a
-    vertex no optimal cover ends at costs one path, the same as leaving w
-    alone. ends[S] is the set of w that reach the minimum. Isolated vertices
-    count as paths of size one. `explored` counts the (S, w) transitions,
-    n * 2^(n-1) on a completed run; the budget is checked once per subset.
+    vertices that end a path (or are a singleton) in some such cover. cover[S]
+    is the minimum over w in S of cover[S - w], plus one unless w is adjacent
+    to a vertex of ends[S - w]: attaching w to such an end costs no path, and
+    splitting a cover at a vertex no optimal cover ends at costs one path, the
+    same as leaving w alone. ends[S] is the set of w that reach the minimum.
+    Isolated vertices count as paths of size one.
+
+    Every S - w has one vertex fewer than S, so the subsets are filled in
+    layers of equal size, each in slabs of at most SLAB subsets: one
+    (n x slab) array holds S - w for every vertex w, and the rows of the w not
+    in S are masked out. Masks are uint16 up to 16 vertices and uint32 up to
+    32; the oracle gives up above that. `explored` counts the (S, w)
+    transitions, n * 2^(n-1), and the budget is checked against that total
+    before any table is allocated.
     """
     n = g.n
     check_cap(n, cap)
     if n == 0:
         return OracleResult(0, PathPartition.from_lists(0), 0)
+    explored = n << (n - 1)
+    if explored > budget:
+        raise OracleUnknown("subset DP budget exceeded")
+    if n > 32:
+        raise OracleUnknown(f"n={n} above the subset DP's 32-bit masks")
     full = (1 << n) - 1
     adj = {1 << v: 0 for v in range(n)}  # vertex bit -> neighbour bitmask
     for u, v in g.edges:
         adj[1 << u] |= 1 << v
         adj[1 << v] |= 1 << u
 
-    explored = 0
-    cover = [0] * (full + 1)
-    ends = [0] * (full + 1)
-    for s in range(1, full + 1):
-        best = n + 1
-        best_ends = 0
-        rest = s
-        while rest:
-            wbit = rest & -rest
-            rest ^= wbit
-            t = s ^ wbit
-            c = cover[t] if adj[wbit] & ends[t] else cover[t] + 1
-            if c < best:
-                best, best_ends = c, wbit
-            elif c == best:
-                best_ends |= wbit
-        cover[s] = best
-        ends[s] = best_ends
-        explored += s.bit_count()
-        if explored > budget:
-            raise OracleUnknown("subset DP budget exceeded")
+    mask = np.uint16 if n <= 16 else np.uint32
+    bits = np.array(list(adj), dtype=mask)[:, None]
+    nbrs = np.array(list(adj.values()), dtype=mask)[:, None]
+    size = np.zeros(1, dtype=np.int8)  # size[S] = popcount of S
+    for _ in range(n):
+        size = np.concatenate((size, size + 1))
+    cover = np.zeros(full + 1, dtype=np.int8)
+    ends = np.zeros(full + 1, dtype=mask)
+    for k in range(1, n + 1):
+        layer = np.flatnonzero(size == k).astype(mask)
+        for lo in range(0, len(layer), SLAB):
+            s = layer[lo:lo + SLAB]
+            t = s ^ bits  # row w: S - w, or S + w where w is not in S
+            c = cover[t] + ((ends[t] & nbrs) == 0)
+            c[(s & bits) == 0] = n + 1
+            best = c.min(axis=0)
+            cover[s] = best
+            ends[s] = np.bitwise_or.reduce(bits * (c == best), axis=0)
 
     # peel an optimal cover off `full`: start each path at the lowest end and
     # extend it to a neighbour that ends an optimal cover of what remains; as
@@ -76,12 +89,12 @@ def exact_pi_p(g: Graph, budget: int = 50_000_000, cap: int = 16) -> OracleResul
     paths = []
     s = full
     while s:
-        wbit = ends[s] & -ends[s]
+        wbit = int(ends[s]) & -int(ends[s])
         seq = []
         while True:
             seq.append(wbit.bit_length() - 1)
             s ^= wbit
-            nxt = adj[wbit] & ends[s]
+            nxt = adj[wbit] & int(ends[s])
             if not nxt:
                 break
             wbit = nxt & -nxt
@@ -92,7 +105,7 @@ def exact_pi_p(g: Graph, budget: int = 50_000_000, cap: int = 16) -> OracleResul
         paths=[seq for seq in paths if len(seq) > 1],
         singletons=[seq[0] for seq in paths if len(seq) == 1],
     )
-    return OracleResult(cover[full], witness, explored)
+    return OracleResult(int(cover[full]), witness, explored)
 
 
 def max_linear_forest(g: Graph, cap: int = 10) -> int:

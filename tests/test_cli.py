@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from pathpart.cli import main
 from pathpart.discharge import apply_rules
-from pathpart.graphs import Graph, gen_disjoint_cliques, write_edge_list
+from pathpart.graphs import Graph, gen_circulant, gen_disjoint_cliques, write_edge_list
 
 from conftest import complete_graph, count_calls, simple_graphs
 
@@ -291,3 +291,13 @@ def test_huge_header_is_refused_before_allocating(tmp_path):
     done = _limited_main(["batch", str(manifest)])
     assert done.returncode == 2, done.stderr
     assert json.loads(done.stdout)["exit"] == 2
+
+
+def test_oracle_over_budget_is_unknown_before_allocating(tmp_path):
+    # 28 * 2^27 transitions are over the default budget; the 2^28-entry tables
+    # would not fit under the address-space cap
+    inst = _write(tmp_path, "c28.txt", gen_circulant(28, [1, 2, 3]))
+    done = _limited_main(["oracle", inst, "--cap", "30"])
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == "oracle: unknown (subset DP budget exceeded)\n"
+    assert done.stdout == ""

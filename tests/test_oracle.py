@@ -1,12 +1,15 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
 
-from pathpart.graphs import Graph, gen_disjoint_cliques, gen_random_regular
-from pathpart.oracle import (OracleUnknown, exact_pi_p, max_linear_forest,
-                             pi_p_via_linear_forest)
-from pathpart.partition import partition_to_json, validate_partition
+from pathpart.graphs import (Graph, gen_circulant, gen_disjoint_cliques,
+                             gen_random_regular)
+from pathpart.oracle import (OracleResult, OracleUnknown, exact_pi_p,
+                             max_linear_forest, pi_p_via_linear_forest)
+from pathpart.partition import (PathPartition, partition_to_json,
+                                validate_partition)
 from pathpart.solver import solve
 
 from conftest import complete_graph, simple_graphs
@@ -107,3 +110,120 @@ def test_exact_pi_p_matches_linear_forest(g):
     assert res.witness.component_count() == res.pi_p
     assert partition_to_json(exact_pi_p(g).witness) == partition_to_json(res.witness)
     assert res.explored == g.n * 2 ** g.n // 2
+
+
+def _loop_exact_pi_p(g: Graph, budget: int = 50_000_000, cap: int = 16) -> OracleResult:
+    """The subset DP as a plain loop over the subsets in increasing order, one
+    (S, w) transition at a time: the reference for the array version."""
+    n = g.n
+    if n > cap:
+        raise OracleUnknown(f"n={n} above oracle cap {cap}")
+    if n == 0:
+        return OracleResult(0, PathPartition.from_lists(0), 0)
+    full = (1 << n) - 1
+    adj = {1 << v: 0 for v in range(n)}
+    for u, v in g.edges:
+        adj[1 << u] |= 1 << v
+        adj[1 << v] |= 1 << u
+    explored = 0
+    cover = [0] * (full + 1)
+    ends = [0] * (full + 1)
+    for s in range(1, full + 1):
+        best = n + 1
+        best_ends = 0
+        rest = s
+        while rest:
+            wbit = rest & -rest
+            rest ^= wbit
+            t = s ^ wbit
+            c = cover[t] if adj[wbit] & ends[t] else cover[t] + 1
+            if c < best:
+                best, best_ends = c, wbit
+            elif c == best:
+                best_ends |= wbit
+        cover[s] = best
+        ends[s] = best_ends
+        explored += s.bit_count()
+        if explored > budget:
+            raise OracleUnknown("subset DP budget exceeded")
+    paths = []
+    s = full
+    while s:
+        wbit = ends[s] & -ends[s]
+        seq = []
+        while True:
+            seq.append(wbit.bit_length() - 1)
+            s ^= wbit
+            nxt = adj[wbit] & ends[s]
+            if not nxt:
+                break
+            wbit = nxt & -nxt
+        paths.append(seq)
+    paths.sort()
+    witness = PathPartition.from_lists(
+        n,
+        paths=[seq for seq in paths if len(seq) > 1],
+        singletons=[seq[0] for seq in paths if len(seq) == 1],
+    )
+    return OracleResult(cover[full], witness, explored)
+
+
+def _assert_same_as_loop(g: Graph, cap: int = 16):
+    res, ref = exact_pi_p(g, cap=cap), _loop_exact_pi_p(g, cap=cap)
+    assert type(res.pi_p) is int and type(res.explored) is int
+    assert (res.pi_p, res.explored) == (ref.pi_p, ref.explored)
+    assert partition_to_json(res.witness) == partition_to_json(ref.witness)
+
+
+@given(simple_graphs(12))
+@example(Graph(0, []))
+@example(Graph(1, []))
+@example(_spider(4, 2))
+def test_layered_dp_matches_the_loop(g):
+    _assert_same_as_loop(g)
+
+
+@pytest.mark.parametrize("n,d,seed", [(n, d, seed) for n in range(13, 17) for d in (5, 6)
+                                      for seed in range(2) if n * d % 2 == 0])
+def test_layered_dp_matches_the_loop_on_regular_graphs(n, d, seed):
+    _assert_same_as_loop(gen_random_regular(n, d, seed=seed))
+
+
+def test_layered_dp_matches_the_loop_with_32_bit_masks():
+    _assert_same_as_loop(gen_random_regular(17, 6, seed=0), cap=17)
+
+
+def test_budget_is_exactly_the_transition_count():
+    g = gen_random_regular(12, 5, seed=1)
+    total = 12 * 2 ** 11
+    assert exact_pi_p(g, budget=total).explored == total
+    with pytest.raises(OracleUnknown, match="^subset DP budget exceeded$"):
+        exact_pi_p(g, budget=total - 1)
+    assert exact_pi_p(Graph(0, []), budget=-1).pi_p == 0
+
+
+def test_budget_is_checked_before_any_table_is_allocated():
+    g = gen_circulant(28, [1, 2, 3])
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleUnknown, match="^subset DP budget exceeded$"):
+            exact_pi_p(g, cap=30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(OracleUnknown, match="32-bit masks"):
+        exact_pi_p(Graph(33, []), budget=10**12, cap=33)
+
+
+def test_layered_dp_works_in_slabs():
+    g = gen_circulant(18, [1, 2, 3])
+    tracemalloc.start()
+    try:
+        res = exact_pi_p(g, cap=18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.pi_p == 1
+    # the full tables take 1.25 MiB; the slabs keep each pass's arrays small
+    assert peak < 6 * 2**20

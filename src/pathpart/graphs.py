@@ -6,8 +6,6 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 class GraphError(ValueError):
     """Malformed graph data (self-loop, duplicate edge, vertex out of range)."""
@@ -133,6 +131,7 @@ def gen_random_regular(n: int, d: int, seed: int = 0, restarts: int | None = Non
         # for large n but orders of magnitude less near n = d+1 (3e-6 at n=8,
         # d=6), so the cap must be generous; attempts are batched and cheap
         restarts = max(10 * n, 2_000_000)
+    import numpy as np  # here, not at module level: solve and audit never need it
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
     batch = max(1, min(4096, 4_000_000 // (n * d)))

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graphs import Graph
 from .partition import PathPartition
 
@@ -47,7 +45,8 @@ def exact_pi_p(g: Graph, budget: int = 50_000_000, cap: int = 16) -> OracleResul
     in S are masked out. Masks are uint16 up to 16 vertices and uint32 up to
     32; the oracle gives up above that. `explored` counts the (S, w)
     transitions, n * 2^(n-1), and the budget is checked against that total
-    before any table is allocated.
+    before any table is allocated (or NumPy imported). Tables or slabs that
+    do not fit in memory end in OracleUnknown too.
     """
     n = g.n
     check_cap(n, cap)
@@ -58,6 +57,7 @@ def exact_pi_p(g: Graph, budget: int = 50_000_000, cap: int = 16) -> OracleResul
         raise OracleUnknown("subset DP budget exceeded")
     if n > 32:
         raise OracleUnknown(f"n={n} above the subset DP's 32-bit masks")
+    import numpy as np
     full = (1 << n) - 1
     adj = {1 << v: 0 for v in range(n)}  # vertex bit -> neighbour bitmask
     for u, v in g.edges:
@@ -67,21 +67,24 @@ def exact_pi_p(g: Graph, budget: int = 50_000_000, cap: int = 16) -> OracleResul
     mask = np.uint16 if n <= 16 else np.uint32
     bits = np.array(list(adj), dtype=mask)[:, None]
     nbrs = np.array(list(adj.values()), dtype=mask)[:, None]
-    size = np.zeros(1, dtype=np.int8)  # size[S] = popcount of S
-    for _ in range(n):
-        size = np.concatenate((size, size + 1))
-    cover = np.zeros(full + 1, dtype=np.int8)
-    ends = np.zeros(full + 1, dtype=mask)
-    for k in range(1, n + 1):
-        layer = np.flatnonzero(size == k).astype(mask)
-        for lo in range(0, len(layer), SLAB):
-            s = layer[lo:lo + SLAB]
-            t = s ^ bits  # row w: S - w, or S + w where w is not in S
-            c = cover[t] + ((ends[t] & nbrs) == 0)
-            c[(s & bits) == 0] = n + 1
-            best = c.min(axis=0)
-            cover[s] = best
-            ends[s] = np.bitwise_or.reduce(bits * (c == best), axis=0)
+    try:
+        size = np.zeros(1, dtype=np.int8)  # size[S] = popcount of S
+        for _ in range(n):
+            size = np.concatenate((size, size + 1))
+        cover = np.zeros(full + 1, dtype=np.int8)
+        ends = np.zeros(full + 1, dtype=mask)
+        for k in range(1, n + 1):
+            layer = np.flatnonzero(size == k).astype(mask)
+            for lo in range(0, len(layer), SLAB):
+                s = layer[lo:lo + SLAB]
+                t = s ^ bits  # row w: S - w, or S + w where w is not in S
+                c = cover[t] + ((ends[t] & nbrs) == 0)
+                c[(s & bits) == 0] = n + 1
+                best = c.min(axis=0)
+                cover[s] = best
+                ends[s] = np.bitwise_or.reduce(bits * (c == best), axis=0)
+    except MemoryError:
+        raise OracleUnknown("subset DP tables do not fit in memory") from None
 
     # peel an optimal cover off `full`: start each path at the lowest end and
     # extend it to a neighbour that ends an optimal cover of what remains; as

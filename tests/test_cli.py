@@ -301,3 +301,58 @@ def test_oracle_over_budget_is_unknown_before_allocating(tmp_path):
     assert done.returncode == 3, done.stderr
     assert done.stderr == "oracle: unknown (subset DP budget exceeded)\n"
     assert done.stdout == ""
+
+
+def test_oracle_out_of_memory_is_unknown(tmp_path):
+    # within budget, but the 1 GiB `ends` table does not fit under the cap
+    inst = _write(tmp_path, "c28.txt", gen_circulant(28, [1, 2, 3]))
+    done = _limited_main(["oracle", inst, "--cap", "30", "--budget", "10000000000"])
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == "oracle: unknown (subset DP tables do not fit in memory)\n"
+    assert done.stdout == ""
+
+
+_FRESH_MAIN = """\
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import pathpart, pathpart.cli
+runs = [{"numpy": sys.modules.get("numpy") is not None}]
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = pathpart.cli.main(argv)
+    runs.append({"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
+                 "numpy": sys.modules.get("numpy") is not None})
+print(json.dumps(runs))
+"""
+
+
+def _fresh_main(argvs: list[list[str]], block_numpy: bool) -> list[dict]:
+    """Import pathpart in a fresh interpreter and run each argv through `main`:
+    whether numpy is loaded after the import, then each run's exit code,
+    output and whether numpy is loaded after it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", _FRESH_MAIN,
+                           "block" if block_numpy else "allow", json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_only_gen_random_and_oracle_import_numpy(tmp_path):
+    inst = _write(tmp_path, "k7s.txt", gen_disjoint_cliques(6, 6, seed=1))
+    small = _write(tmp_path, "c14.txt", gen_circulant(14, [1, 2, 3]))
+    manifest = tmp_path / "jobs.json"
+    manifest.write_text(json.dumps([{"command": "solve", "args": ["--json", inst]}]))
+    cold = [["solve", "--json", inst], ["audit", inst], ["gen", "--cliques", "--k", "3"],
+            ["gen", "--circulant", "--n", "9"], ["gen", "--bipartite", "--d", "5"],
+            ["batch", str(manifest)]]
+    warm = [["gen", "--random", "--n", "14", "--seed", "2"], ["oracle", small]]
+    blocked = _fresh_main(cold, block_numpy=True)
+    normal = _fresh_main(cold + warm, block_numpy=False)
+    assert normal[0] == {"numpy": False}  # `import pathpart, pathpart.cli`
+    for run, ref in zip(blocked[1:], normal[1:1 + len(cold)], strict=True):
+        assert run == ref and run["exit"] == 0 and not run["numpy"]
+    for run in normal[1 + len(cold):]:
+        assert run["exit"] == 0 and run["numpy"]

@@ -56,44 +56,35 @@ def _emit(args, text: str) -> None:
 
 
 def cmd_gen(args) -> int:
-    try:
-        if args.cliques:
-            g = graphs.gen_disjoint_cliques(args.d, args.k, seed=args.seed)
-        elif args.random:
-            g = graphs.gen_random_regular(args.n, args.d, seed=args.seed,
-                                          restarts=args.restarts)
-        elif args.circulant:
-            g = graphs.gen_circulant(args.n, _parse_offsets(args.offsets))
-        elif args.bipartite:
-            g = graphs.gen_complete_bipartite(args.d)
-        else:
-            print("gen: pick one of --cliques/--random/--circulant/--bipartite",
-                  file=sys.stderr)
-            return EXIT_INVALID
-    except (GraphError, GenerationError) as exc:
-        print(f"gen: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    if args.cliques:
+        g = graphs.gen_disjoint_cliques(args.d, args.k, seed=args.seed)
+    elif args.random:
+        g = graphs.gen_random_regular(args.n, args.d, seed=args.seed,
+                                      restarts=args.restarts)
+    elif args.circulant:
+        g = graphs.gen_circulant(args.n, _parse_offsets(args.offsets))
+    elif args.bipartite:
+        g = graphs.gen_complete_bipartite(args.d)
+    else:
+        raise GraphError("pick one of --cliques/--random/--circulant/--bipartite")
     _emit(args, graphs.write_edge_list(g))
     print(f"n={g.n} m={g.m} seed={args.seed}", file=sys.stderr)
     return EXIT_PASS
 
 
-def _resolve_rules(g: Graph, args) -> RuleSet | int:
+def _resolve_rules(g: Graph, args) -> RuleSet:
     if args.rules == "d6":
         return RULES_D6
     if args.rules == "d5":
         return RULES_D5
     d = graphs.infer_degree(g)
     if d not in (5, 6):
-        print(f"solve: input must be 5- or 6-regular (got degree {d})",
-              file=sys.stderr)
-        return EXIT_INVALID
+        raise GraphError(f"input must be 5- or 6-regular (got degree {d})")
     if d == 5:
         witness = graphs.contains_k6(g)
         if witness is not None:
-            print(f"solve: 5-regular input contains K6 {witness}; "
-                  "the degree-5 guarantee requires K6-free input", file=sys.stderr)
-            return EXIT_INVALID
+            raise GraphError(f"5-regular input contains K6 {witness}; "
+                             "the degree-5 guarantee requires K6-free input")
     return ruleset_for_degree(d)
 
 
@@ -110,30 +101,14 @@ def write_reproducer(out: str | Path, g: Graph, report: SolveReport) -> str:
 
 
 def _solve_input(args, record_trace: bool = False):
-    """Load, pick the rules and solve: (graph, rules, report), or the exit code
-    of a rejected input."""
-    try:
-        g = _load_graph(args)
-    except GraphError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    """Load, pick the rules and solve: (graph, rules, report)."""
+    g = _load_graph(args)
     rules = _resolve_rules(g, args)
-    if isinstance(rules, int):
-        return rules
-    try:
-        report = solve(g, seed=args.seed, rules=rules, record_trace=record_trace)
-    except MoveEngineError as exc:
-        # irregular inputs under forced rules may keep singletons no shift absorbs
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    return g, rules, report
+    return g, rules, solve(g, seed=args.seed, rules=rules, record_trace=record_trace)
 
 
 def cmd_solve(args) -> int:
-    solved = _solve_input(args, record_trace=args.trace is not None)
-    if isinstance(solved, int):
-        return solved
-    g, _, report = solved
+    g, _, report = _solve_input(args, record_trace=args.trace is not None)
     if args.trace:
         Path(args.trace).write_text("".join(json.dumps(t) + "\n" for t in report.trace))
     cert = report.certificate
@@ -151,15 +126,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        g = _load_graph(args)
-        res = oracle.exact_pi_p(g, budget=args.budget, cap=args.cap)
-    except GraphError as exc:
-        print(f"oracle: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except oracle.OracleUnknown as exc:
-        print(f"oracle: unknown ({exc})", file=sys.stderr)
-        return EXIT_UNKNOWN
+    g = _load_graph(args)
+    res = oracle.exact_pi_p(g, budget=args.budget, cap=args.cap)
     try:
         heuristic = solve(g, seed=args.seed, rules=None).component_count
     except MoveEngineError:
@@ -179,10 +147,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    solved = _solve_input(args)
-    if isinstance(solved, int):
-        return solved
-    g, rules, report = solved
+    g, rules, report = _solve_input(args)
     if not report.certificate.verdict:
         print("audit: certificate failed", file=sys.stderr)
         return EXIT_CERT_FAIL
@@ -284,10 +249,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code. Commands return their result,
+    EXIT_PASS or EXIT_CERT_FAIL (`batch` its jobs' largest code), and raise
+    every error; only here does an error become an exit code: 3 for
+    OracleUnknown, and 2 for invalid input or arguments, input the move engine
+    cannot canonicalize under forced rules, an unreadable input or an
+    unwritable output."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:  # an unreadable input or an unwritable output
+    except oracle.OracleUnknown as exc:
+        print(f"{args.command}: unknown ({exc})", file=sys.stderr)
+        return EXIT_UNKNOWN
+    except (GraphError, GenerationError, MoveEngineError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -23,40 +23,40 @@ class DischargeError(ValueError):
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Transfer amounts for one variant.
+    """Transfer amounts and audit floors for one variant.
 
     D6: cycles of size i <= 6 draw 1/i per balanced edge, path ends 2/3,
     dangerous V3 vertices draw 1/6 from V2a and 1/12 from single-V2-neighbor
     V2b/V4, V5 pays 1/4 per free edge. D5 scales the cycle amount by 4/3 and
-    drops the two dangerous-vertex rules.
+    drops the two dangerous-vertex rules. `class_floors` is the least balance
+    the block audit allows each class.
     """
 
     variant: str
     threshold: Fraction
+    cycle_scale: Fraction
+    v2a_dangerous: Fraction | None
+    v4_dangerous: Fraction | None
+    class_floors: dict[str, Fraction] = field(hash=False)
     path_amount: Fraction = Fraction(2, 3)
     v5_amount: Fraction = Fraction(1, 4)
 
     def cycle_amount(self, size: int) -> Fraction | None:
-        if size > 6:
-            return None
-        base = Fraction(1, size)
-        return base * Fraction(4, 3) if self.variant == "D5" else base
-
-    @property
-    def v2a_dangerous(self) -> Fraction | None:
-        return Fraction(1, 6) if self.variant == "D6" else None
-
-    @property
-    def v4_dangerous(self) -> Fraction | None:
-        return Fraction(1, 12) if self.variant == "D6" else None
+        return self.cycle_scale / size if size <= 6 else None
 
     def count_bound(self, n: int) -> int:
         frac = Fraction(n) / self.threshold
         return frac.numerator // frac.denominator
 
 
-RULES_D6 = RuleSet("D6", Fraction(7))
-RULES_D5 = RuleSet("D5", Fraction(19, 3))
+RULES_D6 = RuleSet("D6", Fraction(7), cycle_scale=Fraction(1),
+                   v2a_dangerous=Fraction(1, 6), v4_dangerous=Fraction(1, 12),
+                   class_floors={V2A: Fraction(-5, 3), V2B: Fraction(-5, 3), V3: Fraction(1),
+                                 V4: Fraction(2, 3), V5: Fraction(0)})
+RULES_D5 = RuleSet("D5", Fraction(19, 3), cycle_scale=Fraction(4, 3),
+                   v2a_dangerous=None, v4_dangerous=None,
+                   class_floors={V2A: Fraction(-1), V2B: Fraction(-1), V3: Fraction(1),
+                                 V4: Fraction(1), V5: Fraction(0)})
 
 
 def ruleset_for_degree(d: int) -> RuleSet:
@@ -259,13 +259,8 @@ def audit_block_bounds(g: Graph, p: PathPartition, vc: VertexClassification,
     """Check the per-class floors, block floors, block-pair trichotomy, and
     V2-run bounds that the component floor argument relies on."""
     rep = AuditReport()
-    floors_d6 = {V2A: Fraction(-5, 3), V2B: Fraction(-5, 3), V3: Fraction(1),
-                 V4: Fraction(2, 3), V5: Fraction(0)}
-    floors_d5 = {V2A: Fraction(-1), V2B: Fraction(-1), V3: Fraction(1),
-                 V4: Fraction(1), V5: Fraction(0)}
-    floors = floors_d6 if rs.variant == "D6" else floors_d5
     for v in range(g.n):
-        floor = floors.get(vc.cls[v])
+        floor = rs.class_floors.get(vc.cls[v])
         if floor is None:
             continue
         rep.checks += 1

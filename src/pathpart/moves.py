@@ -55,6 +55,8 @@ def apply_primitive(g: Graph, p: PathPartition, prim: tuple) -> set[int]:
     op = prim[0]
     if op == "split":
         _, cid, a, b = prim
+        if not p.owner.get(a) == p.owner.get(b) == cid:
+            raise MoveEngineError(f"split pair ({a}, {b}) not in component {cid}")
         comp = p.components[cid]
         if comp.kind != PATH:
             raise MoveEngineError(f"split on non-path component {cid}")
@@ -92,6 +94,8 @@ def apply_primitive(g: Graph, p: PathPartition, prim: tuple) -> set[int]:
         return set(verts)
     if op == "open":
         _, cid, a, b = prim
+        if not p.owner.get(a) == p.owner.get(b) == cid:
+            raise MoveEngineError(f"open pair ({a}, {b}) not in component {cid}")
         comp = p.components[cid]
         if comp.kind != CYCLE:
             raise MoveEngineError(f"open on non-cycle component {cid}")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import resource
@@ -62,14 +64,18 @@ def test_solve_cliques_passes(tmp_path):
     assert all(c["total"] == "7/1" for c in cert["components"])
 
 
-def test_solve_refuses_k6_under_degree5(tmp_path):
+@pytest.mark.parametrize("command", ["solve", "audit"])
+def test_solve_refuses_k6_under_degree5(tmp_path, capsys, command):
     inst = _write(tmp_path, "k6s.txt", gen_disjoint_cliques(5, 2, seed=0))
-    assert main(["solve", inst]) == 2
+    assert main([command, inst]) == 2
+    assert capsys.readouterr().err.startswith(f"{command}: 5-regular input contains K6 ")
 
 
-def test_solve_refuses_wrong_degree(tmp_path):
+@pytest.mark.parametrize("command", ["solve", "audit"])
+def test_solve_refuses_wrong_degree(tmp_path, capsys, command):
     inst = _write(tmp_path, "k5.txt", complete_graph(5))
-    assert main(["solve", inst]) == 2
+    assert main([command, inst]) == 2
+    assert capsys.readouterr().err == f"{command}: input must be 5- or 6-regular (got degree 4)\n"
 
 
 def test_solve_certificate_failure_writes_reproducer(tmp_path):
@@ -251,12 +257,28 @@ MALFORMED = st.one_of(
 )
 
 
-@given(MALFORMED)
-def test_cli_on_malformed_input_ends_in_an_exit_code(tmp_path_factory, content):
-    path = tmp_path_factory.mktemp("malformed") / "g.txt"
+@given(MALFORMED.map(lambda content: (content, False))
+       | simple_graphs(8).map(lambda g: (write_edge_list(g).encode(), True)))
+def test_cli_on_malformed_input_ends_in_an_exit_code(tmp_path_factory, case):
+    """Malformed bytes, and well-formed simple graphs (mostly irregular) also
+    under forced rules, end in an exit code; an error names its command."""
+    content, well_formed = case
+    tmp = tmp_path_factory.mktemp("malformed")
+    path = tmp / "g.txt"
     path.write_bytes(content)
-    for command in ("solve", "oracle", "audit"):
-        assert main([command, str(path)]) in (0, 1, 2, 3)
+    runs = [[command, str(path)] for command in ("solve", "oracle", "audit")]
+    if well_formed:
+        runs += [[command, str(path), "--rules", rules]
+                 for command in ("solve", "audit") for rules in ("d5", "d6")]
+    for argv in runs:
+        if argv[0] == "solve":
+            argv += ["--bundle-dir", str(tmp / "bundle")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in ((0, 1, 2) if "--rules" in argv else (0, 1, 2, 3)), err.getvalue()
+        if code >= 2:
+            assert err.getvalue().startswith(f"{argv[0]}: ")
 
 
 HUGE_HEADER_LIMIT = 1536 * 2**20  # bytes of address space for the child

@@ -9,7 +9,7 @@ from pathpart.moves import (SingletonEliminationError, apply_move,
                             eliminate_singletons, find_basic_move,
                             find_compound_move, find_derived_move,
                             find_pair_move)
-from pathpart.partition import PathPartition, validate_partition
+from pathpart.partition import PathPartition, partition_to_json, validate_partition
 from pathpart.solver import initial_partition
 
 from conftest import complete_graph
@@ -213,3 +213,32 @@ def test_every_move_is_sound_along_trajectories():
             _apply_and_check(g, p, mv)
             applied += 1
     assert applied > 100
+
+
+@pytest.mark.parametrize("prim, message", [
+    (("split", 2, 2, 5), r"split pair \(2, 5\) not in component"),
+    (("split", 8, 7, 8), "split on non-path component"),
+    (("split", 0, 0, 2), "split at non-consecutive pair"),
+    (("join", 0, 3), "join inside one component"),
+    (("join", 3, 4), "illegal join"),
+    (("close", 4), "illegal close"),
+    (("open", 8, 8, 2), r"open pair \(8, 2\) not in component"),
+    (("open", 0, 0, 1), "open on non-cycle component"),
+    (("open", 10, 10, 12), "open at non-cycle-edge"),
+    (("flip", 0), "unknown primitive"),
+], ids=["split-foreign-pair", "split-cycle", "split-non-consecutive", "join-inside",
+        "join-no-edge", "close-no-edge", "open-foreign-pair", "open-path",
+        "open-non-cycle-edge", "unknown"])
+def test_apply_primitive_refuses_and_leaves_the_partition(prim, message):
+    # paths 0-1-2-3 and 4-5-6, cycles 7-8-9 and 10-11-12-13
+    g = Graph(14, _chain(0, 3) + _chain(4, 6) + _chain(7, 9) + [(7, 9)]
+              + _chain(10, 13) + [(10, 13)])
+    p = PathPartition.from_lists(14, paths=[[0, 1, 2, 3], [4, 5, 6]],
+                                 cycles=[[7, 8, 9], [10, 11, 12, 13]])
+    before = partition_to_json(p)
+    op, *rest = prim
+    if op in ("split", "close", "open"):  # these name their component by a vertex
+        rest[0] = p.owner[rest[0]]
+    with pytest.raises(moves.MoveEngineError, match=message):
+        moves.apply_primitive(g, p, (op, *rest))
+    assert partition_to_json(p) == before

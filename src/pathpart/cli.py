@@ -248,6 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# main's parser, built on its first call rather than at import. parse_args
+# leaves a parser as it found it, so one serves every call in the process
+# (`batch` calls main once per job); build_parser() still returns a new one.
+_main_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code. Commands return their result,
     EXIT_PASS or EXIT_CERT_FAIL (`batch` its jobs' largest code), and raise
@@ -255,7 +261,10 @@ def main(argv: list[str] | None = None) -> int:
     OracleUnknown, and 2 for invalid input or arguments, input the move engine
     cannot canonicalize under forced rules, an unreadable input or an
     unwritable output."""
-    args = build_parser().parse_args(argv)
+    global _main_parser
+    if _main_parser is None:
+        _main_parser = build_parser()
+    args = _main_parser.parse_args(argv)
     try:
         return args.func(args)
     except oracle.OracleUnknown as exc:

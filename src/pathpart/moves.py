@@ -71,7 +71,9 @@ def apply_primitive(g: Graph, p: PathPartition, prim: tuple) -> set[int]:
         return {a, b}
     if op == "join":
         _, u, v = prim
-        cu, cv = p.owner[u], p.owner[v]
+        cu, cv = p.owner.get(u), p.owner.get(v)
+        if cu is None or cv is None:
+            raise MoveEngineError(f"join of a vertex outside the partition ({u}, {v})")
         if cu == cv:
             raise MoveEngineError(f"join inside one component ({u}, {v})")
         if not (p.is_end(u) and p.is_end(v) and g.has_edge(u, v)):
@@ -86,6 +88,8 @@ def apply_primitive(g: Graph, p: PathPartition, prim: tuple) -> set[int]:
         return {u, v}
     if op == "close":
         _, cid = prim
+        if cid not in p.components:
+            raise MoveEngineError(f"close of missing component {cid}")
         comp = p.components[cid]
         verts = comp.vertices
         if comp.kind != PATH or len(verts) < 3 or not g.has_edge(verts[0], verts[-1]):

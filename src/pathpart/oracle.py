@@ -41,12 +41,16 @@ def exact_pi_p(g: Graph, budget: int = 50_000_000, cap: int = 16) -> OracleResul
 
     Every S - w has one vertex fewer than S, so the subsets are filled in
     layers of equal size, each in slabs of at most SLAB subsets: one
-    (n x slab) array holds S - w for every vertex w, and the rows of the w not
-    in S are masked out. Masks are uint16 up to 16 vertices and uint32 up to
-    32; the oracle gives up above that. `explored` counts the (S, w)
-    transitions, n * 2^(n-1), and the budget is checked against that total
-    before any table is allocated (or NumPy imported). Tables or slabs that
-    do not fit in memory end in OracleUnknown too.
+    (n x slab) array holds S ^ w for every vertex w. For a w not in S that is
+    S + w, one layer up and not filled yet: it still holds the sentinel n + 1
+    that every cover entry but cover[0] starts at, and an empty ends, so its
+    row reads n + 2. That is above any cover of S (at most |S| <= n), so such
+    rows never reach the minimum or ends[S], and need no mask. int8 holds
+    n + 2 for every n the oracle accepts. Masks are uint16 up to 16 vertices
+    and uint32 up to 32; the oracle gives up above that. `explored` counts
+    the (S, w) transitions, n * 2^(n-1), and the budget is checked against
+    that total before any table is allocated (or NumPy imported). Tables or
+    slabs that do not fit in memory end in OracleUnknown too.
     """
     n = g.n
     check_cap(n, cap)
@@ -71,7 +75,8 @@ def exact_pi_p(g: Graph, budget: int = 50_000_000, cap: int = 16) -> OracleResul
         size = np.zeros(1, dtype=np.int8)  # size[S] = popcount of S
         for _ in range(n):
             size = np.concatenate((size, size + 1))
-        cover = np.zeros(full + 1, dtype=np.int8)
+        cover = np.full(full + 1, n + 1, dtype=np.int8)
+        cover[0] = 0
         ends = np.zeros(full + 1, dtype=mask)
         for k in range(1, n + 1):
             layer = np.flatnonzero(size == k).astype(mask)
@@ -79,7 +84,6 @@ def exact_pi_p(g: Graph, budget: int = 50_000_000, cap: int = 16) -> OracleResul
                 s = layer[lo:lo + SLAB]
                 t = s ^ bits  # row w: S - w, or S + w where w is not in S
                 c = cover[t] + ((ends[t] & nbrs) == 0)
-                c[(s & bits) == 0] = n + 1
                 best = c.min(axis=0)
                 cover[s] = best
                 ends[s] = np.bitwise_or.reduce(bits * (c == best), axis=0)

@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from pathpart.cli import main
+from pathpart.cli import build_parser, main
 from pathpart.discharge import apply_rules
 from pathpart.graphs import Graph, gen_circulant, gen_disjoint_cliques, write_edge_list
 
@@ -343,7 +343,10 @@ runs = [{"numpy": sys.modules.get("numpy") is not None}]
 for argv in json.loads(sys.argv[2]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = pathpart.cli.main(argv)
+        try:
+            code = pathpart.cli.main(argv)
+        except SystemExit as exc:  # argparse rejected argv
+            code = exc.code
     runs.append({"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
                  "numpy": sys.modules.get("numpy") is not None})
 print(json.dumps(runs))
@@ -378,3 +381,69 @@ def test_only_gen_random_and_oracle_import_numpy(tmp_path):
         assert run == ref and run["exit"] == 0 and not run["numpy"]
     for run in normal[1 + len(cold):]:
         assert run["exit"] == 0 and run["numpy"]
+
+
+def test_main_calls_in_one_process_match_fresh_interpreters(tmp_path):
+    inst = _write(tmp_path, "k7s.txt", gen_disjoint_cliques(6, 3, seed=1))
+    small = _write(tmp_path, "c13.txt", gen_circulant(13, [1, 2, 3]))
+    manifest = tmp_path / "jobs.json"
+    manifest.write_text(json.dumps([
+        {"command": "solve", "args": [inst, "-o", str(tmp_path / "job.txt")]},
+        {"command": "solve", "args": [inst, "--no-such-flag"]},
+    ]))
+    outputs = [tmp_path / name for name in ("oracle.json", "solve.json", "job.txt", "audit.json")]
+    argvs = [["oracle", small, "-o", str(outputs[0])],
+             ["solve", "--json", inst, "-o", str(outputs[1])],
+             ["solve"],  # argparse: the input is missing
+             ["batch", str(manifest)],
+             ["audit", inst, "-o", str(outputs[3])]]
+
+    def runs_and_files(runs):
+        files = {path.name: path.read_text() for path in outputs}
+        for path in outputs:
+            path.unlink()
+        return [{k: run[k] for k in ("exit", "stdout", "stderr")} for run in runs], files
+
+    together = runs_and_files(_fresh_main(argvs, block_numpy=False)[1:])
+    apart = runs_and_files([_fresh_main([argv], block_numpy=False)[1] for argv in argvs])
+    assert together == apart
+    assert [run["exit"] for run in together[0]] == [0, 0, 2, 2, 0]
+    assert together[0][2]["stderr"].startswith("usage: pathpart solve")
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    assert build_parser() is not build_parser()
+
+
+_COUNT_PARSERS = """\
+import argparse, contextlib, io, json, sys
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counted(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counted
+import pathpart.cli
+counts = [len(built)]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            pathpart.cli.main(argv)
+        except SystemExit:
+            pass
+    counts.append(len(built))
+print(json.dumps(counts))
+"""
+
+
+def test_import_builds_no_parser_and_main_builds_one_per_process(tmp_path):
+    inst = _write(tmp_path, "k7.txt", complete_graph(7))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argvs = [["gen", "--cliques"], ["solve", inst], ["solve"], ["oracle", inst]]
+    done = subprocess.run([sys.executable, "-c", _COUNT_PARSERS, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # the first main builds the parser and its five subcommand parsers
+    assert json.loads(done.stdout) == [0] + [6] * len(argvs)

@@ -222,12 +222,16 @@ def test_every_move_is_sound_along_trajectories():
     (("join", 0, 3), "join inside one component"),
     (("join", 3, 4), "illegal join"),
     (("close", 4), "illegal close"),
+    (("close", 99), "close of missing component 99"),
+    (("join", 0, 14), r"join of a vertex outside the partition \(0, 14\)"),
+    (("join", -1, 0), r"join of a vertex outside the partition \(-1, 0\)"),
     (("open", 8, 8, 2), r"open pair \(8, 2\) not in component"),
     (("open", 0, 0, 1), "open on non-cycle component"),
     (("open", 10, 10, 12), "open at non-cycle-edge"),
     (("flip", 0), "unknown primitive"),
 ], ids=["split-foreign-pair", "split-cycle", "split-non-consecutive", "join-inside",
-        "join-no-edge", "close-no-edge", "open-foreign-pair", "open-path",
+        "join-no-edge", "close-no-edge", "close-missing", "join-past-n",
+        "join-negative", "open-foreign-pair", "open-path",
         "open-non-cycle-edge", "unknown"])
 def test_apply_primitive_refuses_and_leaves_the_partition(prim, message):
     # paths 0-1-2-3 and 4-5-6, cycles 7-8-9 and 10-11-12-13
@@ -238,7 +242,7 @@ def test_apply_primitive_refuses_and_leaves_the_partition(prim, message):
     before = partition_to_json(p)
     op, *rest = prim
     if op in ("split", "close", "open"):  # these name their component by a vertex
-        rest[0] = p.owner[rest[0]]
+        rest[0] = p.owner.get(rest[0], rest[0])  # 99 names no vertex and no component
     with pytest.raises(moves.MoveEngineError, match=message):
         moves.apply_primitive(g, p, (op, *rest))
     assert partition_to_json(p) == before

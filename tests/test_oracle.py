@@ -179,6 +179,12 @@ def _assert_same_as_loop(g: Graph, cap: int = 16):
 @example(Graph(0, []))
 @example(Graph(1, []))
 @example(_spider(4, 2))
+# graphs where a row of a w not in S, which reads the unfilled S + w, would
+# reach the minimum under a low enough sentinel
+@example(Graph(5, [(1, 3)]))
+@example(Graph(7, complete_graph(4).edges + ((4, 5), (5, 6), (4, 6))))
+@example(complete_graph(8))
+@example(Graph(2, []))
 def test_layered_dp_matches_the_loop(g):
     _assert_same_as_loop(g)
 

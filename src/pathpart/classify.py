@@ -109,23 +109,35 @@ def reclassify(g: Graph, p: PathPartition, vc: VertexClassification, dirty) -> N
     component, kind, end status or free edges (`vc.free_nbrs` must be current
     already); with every vertex dirty this classifies afresh.
 
-    Each layer reaches one hop further: V1 is a vertex's own matter, V2 and the
-    balanced targets read its free neighbours, the class reads its path
-    neighbours' V2 membership, and dangerous their heavy and moderate marks.
+    Each layer reaches one hop further, and is redone only where its inputs
+    changed. V1 status, kind and path neighbours change only at dirty vertices,
+    and free edges only at edges with a dirty end. So V2 membership, the
+    balanced targets and the heavy and moderate marks, which read a vertex's
+    free neighbours and their V1 status and kind, can change only in `near`,
+    the dirty vertices and their graph neighbours. The class reads a vertex's
+    own V1 status and V2 membership and its path neighbours' V2 membership, and
+    dangerous its class and its path neighbours' heavy and moderate marks. Both
+    therefore change only at a dirty vertex, at a `near` vertex whose V2
+    membership or marks flipped, or at a path neighbour of a flipped one; path
+    adjacency is symmetric, so the flipped vertices' path neighbours in the
+    current partition are exactly the vertices that read them.
     """
-    every = len(dirty) == g.n
-    near = dirty if every else {w for v in dirty for w in (v, *g.adj[v])}
-    for v in near:
-        _balance(p, vc, v)
+    if len(dirty) == g.n:
+        for v in dirty:
+            _balance(p, vc, v)
+        region = dirty
+    else:
+        near = {w for v in dirty for w in (v, *g.adj[v])}
+        flipped = [v for v in near if _balance(p, vc, v)]
+        region = dirty.union(flipped, [w for v in flipped for w in p.path_neighbors(v)])
     v2 = vc.balanced_path_ends  # keyed by exactly the V2 vertices
-    wide = near if every else {w for v in near for w in (v, *p.path_neighbors(v))}
-    for v in wide:
+    for v in region:
         if is_v1(p, v):
             vc.cls[v] = V1
             continue
         nb2 = sum(1 for w in p.path_neighbors(v) if w in v2)
         vc.cls[v] = (V2B if nb2 else V2A) if v in v2 else (V5, V4, V3)[nb2]
-    for v in wide:
+    for v in region:
         danger = False
         if vc.cls[v] == V3:
             a, b = p.path_neighbors(v)
@@ -134,8 +146,9 @@ def reclassify(g: Graph, p: PathPartition, vc: VertexClassification, dirty) -> N
         (vc.dangerous.add if danger else vc.dangerous.discard)(v)
 
 
-def _balance(p: PathPartition, vc: VertexClassification, v: int) -> None:
-    """Record v's balanced targets and its moderate and heavy marks."""
+def _balance(p: PathPartition, vc: VertexClassification, v: int) -> bool:
+    """Record v's balanced targets and its moderate and heavy marks; whether
+    its V2 membership or either mark changed."""
     targets, ends = [], []
     if not is_v1(p, v):
         for w in vc.free_nbrs[v]:  # ascending, so both lists are too
@@ -143,11 +156,16 @@ def _balance(p: PathPartition, vc: VertexClassification, v: int) -> None:
                 targets.append(w)
                 if p.components[p.owner[w]].kind == PATH:
                     ends.append(w)
+    was_v2 = v in vc.balanced
     if targets:
         vc.balanced[v] = targets
         vc.balanced_path_ends[v] = ends
-    else:
-        vc.balanced.pop(v, None)
-        vc.balanced_path_ends.pop(v, None)
-    (vc.moderate.add if ends and len(targets) >= 2 else vc.moderate.discard)(v)
-    (vc.heavy.add if len(ends) >= 3 else vc.heavy.discard)(v)
+    elif was_v2:
+        del vc.balanced[v], vc.balanced_path_ends[v]
+    moderate = bool(ends) and len(targets) >= 2
+    heavy = len(ends) >= 3
+    flipped = (was_v2 != bool(targets) or moderate != (v in vc.moderate)
+               or heavy != (v in vc.heavy))
+    (vc.moderate.add if moderate else vc.moderate.discard)(v)
+    (vc.heavy.add if heavy else vc.heavy.discard)(v)
+    return flipped

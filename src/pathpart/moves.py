@@ -55,7 +55,7 @@ def apply_primitive(g: Graph, p: PathPartition, prim: tuple) -> set[int]:
     op = prim[0]
     if op == "split":
         _, cid, a, b = prim
-        if not p.owner.get(a) == p.owner.get(b) == cid:
+        if not p.owner_of(a) == p.owner_of(b) == cid:
             raise MoveEngineError(f"split pair ({a}, {b}) not in component {cid}")
         comp = p.components[cid]
         if comp.kind != PATH:
@@ -71,7 +71,7 @@ def apply_primitive(g: Graph, p: PathPartition, prim: tuple) -> set[int]:
         return {a, b}
     if op == "join":
         _, u, v = prim
-        cu, cv = p.owner.get(u), p.owner.get(v)
+        cu, cv = p.owner_of(u), p.owner_of(v)
         if cu is None or cv is None:
             raise MoveEngineError(f"join of a vertex outside the partition ({u}, {v})")
         if cu == cv:
@@ -94,11 +94,11 @@ def apply_primitive(g: Graph, p: PathPartition, prim: tuple) -> set[int]:
         verts = comp.vertices
         if comp.kind != PATH or len(verts) < 3 or not g.has_edge(verts[0], verts[-1]):
             raise MoveEngineError(f"illegal close of component {cid}")
-        comp.kind = CYCLE
+        p.set_kind(cid, CYCLE)
         return set(verts)
     if op == "open":
         _, cid, a, b = prim
-        if not p.owner.get(a) == p.owner.get(b) == cid:
+        if not p.owner_of(a) == p.owner_of(b) == cid:
             raise MoveEngineError(f"open pair ({a}, {b}) not in component {cid}")
         comp = p.components[cid]
         if comp.kind != CYCLE:
@@ -233,14 +233,15 @@ def eliminate_singletons(g: Graph, p: PathPartition) -> Move | None:
     path; shifting the singleton to such a path's end costs nothing, and the
     search explores shift sequences breadth-first until an absorbing position
     appears, building each shifted state on a copy. Returns None when the
-    partition has no singleton.
+    partition has no singleton. The states already queued are keyed by the
+    shifted singleton and the partition's signature, which costs O(n) and is
+    built, for the root too, only once a shift is needed.
     """
-    v0 = min((c.vertices[0] for c in p.components.values() if c.kind == SINGLETON),
-             default=None)
-    if v0 is None:
+    if not p.singleton_count():
         return None
+    v0 = min(c.vertices[0] for c in p.components.values() if c.kind == SINGLETON)
     queue = deque([(p, v0, [])])
-    seen = {(v0, _partition_signature(p))}
+    seen = None
     expanded = 0
     while queue:
         state, v, prefix = queue.popleft()
@@ -270,6 +271,8 @@ def eliminate_singletons(g: Graph, p: PathPartition) -> Move | None:
                 steps = [("split_at", cut), ("join", (v, w))]
                 shifted = state.copy()
                 _Builder(g, shifted).run(steps)
+                if seen is None:
+                    seen = {(v0, _partition_signature(p))}
                 key = (popped, _partition_signature(shifted))
                 if key not in seen:
                     seen.add(key)

@@ -90,22 +90,7 @@ def exact_pi_p(g: Graph, budget: int = 50_000_000, cap: int = 16) -> OracleResul
     except MemoryError:
         raise OracleUnknown("subset DP tables do not fit in memory") from None
 
-    # peel an optimal cover off `full`: start each path at the lowest end and
-    # extend it to a neighbour that ends an optimal cover of what remains; as
-    # the current vertex is in ends[s], such a step keeps cover[s] unchanged
-    paths = []
-    s = full
-    while s:
-        wbit = int(ends[s]) & -int(ends[s])
-        seq = []
-        while True:
-            seq.append(wbit.bit_length() - 1)
-            s ^= wbit
-            nxt = adj[wbit] & int(ends[s])
-            if not nxt:
-                break
-            wbit = nxt & -nxt
-        paths.append(seq)
+    paths = _peel(ends, adj, full)
     paths.sort()
     witness = PathPartition.from_lists(
         n,
@@ -113,6 +98,31 @@ def exact_pi_p(g: Graph, budget: int = 50_000_000, cap: int = 16) -> OracleResul
         singletons=[seq[0] for seq in paths if len(seq) == 1],
     )
     return OracleResult(int(cover[full]), witness, explored)
+
+
+def _peel(ends, adj: dict[int, int], full: int) -> list[list[int]]:
+    """Peel an optimal cover off `full`: start each path at the lowest end and
+    extend it to a neighbour that ends an optimal cover of what remains; as
+    the current vertex is in ends[s], such a step keeps cover[s] unchanged.
+    RuntimeError if a step's vertex is not in s, which only a wrong `ends`
+    table gives (and which would otherwise put the vertex back, for ever)."""
+    paths = []
+    s = full
+    while s:
+        wbit = int(ends[s]) & -int(ends[s])
+        seq = []
+        while True:
+            if not wbit & s:
+                raise RuntimeError(f"witness peel: vertex {wbit.bit_length() - 1} "
+                                   f"is not in subset {s:#x}")
+            seq.append(wbit.bit_length() - 1)
+            s ^= wbit
+            nxt = adj[wbit] & int(ends[s])
+            if not nxt:
+                break
+            wbit = nxt & -nxt
+        paths.append(seq)
+    return paths
 
 
 def max_linear_forest(g: Graph, cap: int = 10) -> int:

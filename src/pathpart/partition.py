@@ -28,68 +28,99 @@ class PathPartition:
     """Mutable set of components with a vertex -> (component, position) index.
 
     Components live in a dict keyed by creation-ordered integer ids, so moves
-    can reference components stably while they split and merge. One owner
-    mutates at a time; a copy is independent but costs O(n).
+    can reference components stably while they split and merge. `owner[v]` and
+    `pos[v]` are lists over the vertices 0..n-1, None for a vertex in no
+    component; code that takes vertices from outside checks their range first
+    (`owner_of`), as a list reads -1 as the last vertex. The path, cycle and
+    singleton counts follow every `add`, `remove` and `set_kind`, so
+    `potential()` is O(1). One owner mutates at a time; a copy is independent
+    but costs O(n).
     """
 
     def __init__(self, n: int):
         self.n = n
         self.components: dict[int, Component] = {}
-        self.owner: dict[int, int] = {}
-        self.pos: dict[int, int] = {}
+        self.owner: list[int | None] = [None] * n
+        self.pos: list[int | None] = [None] * n
+        self.kind_counts = {PATH: 0, CYCLE: 0, SINGLETON: 0}
         self._next_id = 0
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_lists(cls, n: int, paths=(), cycles=(), singletons=()) -> "PathPartition":
+        """The partition of the given sequences. A vertex outside 0..n-1 stays
+        in its component, unindexed, for `validate_partition` to report."""
         p = cls(n)
-        for seq in paths:
-            p.add(Component(PATH, seq))
-        for seq in cycles:
-            p.add(Component(CYCLE, seq))
-        for v in singletons:
-            p.add(Component(SINGLETON, [v]))
+        comps = ([Component(PATH, seq) for seq in paths]
+                 + [Component(CYCLE, seq) for seq in cycles]
+                 + [Component(SINGLETON, [v]) for v in singletons])
+        for comp in comps:
+            if all(0 <= v < n for v in comp.vertices):
+                p.add(comp)
+                continue
+            cid = p.add(Component(comp.kind, []))  # counted; indexed below
+            p.components[cid] = comp
+            for i, v in enumerate(comp.vertices):
+                if 0 <= v < n:
+                    p.owner[v], p.pos[v] = cid, i
         return p
 
     def add(self, comp: Component) -> int:
+        """Insert comp, whose vertices must lie in 0..n-1, under a fresh id."""
         cid = self._next_id
         self._next_id += 1
         self.components[cid] = comp
+        self.kind_counts[comp.kind] += 1
+        owner, pos = self.owner, self.pos
         for i, v in enumerate(comp.vertices):
-            self.owner[v] = cid
-            self.pos[v] = i
+            owner[v] = cid
+            pos[v] = i
         return cid
 
     def remove(self, cid: int) -> Component:
         comp = self.components.pop(cid)
+        self.kind_counts[comp.kind] -= 1
+        owner, pos = self.owner, self.pos
         for v in comp.vertices:
-            del self.owner[v]
-            del self.pos[v]
+            owner[v] = pos[v] = None
         return comp
+
+    def set_kind(self, cid: int, kind: str) -> None:
+        """Change component cid's kind in place (a path closed into a cycle)."""
+        comp = self.components[cid]
+        self.kind_counts[comp.kind] -= 1
+        self.kind_counts[kind] += 1
+        comp.kind = kind
 
     def copy(self) -> "PathPartition":
         p = PathPartition(self.n)
         p.components = {cid: Component(c.kind, c.vertices) for cid, c in self.components.items()}
-        p.owner = dict(self.owner)
-        p.pos = dict(self.pos)
+        p.owner = self.owner.copy()
+        p.pos = self.pos.copy()
+        p.kind_counts = self.kind_counts.copy()
         p._next_id = self._next_id
         return p
 
     # -- queries -----------------------------------------------------------
 
+    def owner_of(self, v: int) -> int | None:
+        """v's component id; None for a v outside 0..n-1 or in no component."""
+        return self.owner[v] if 0 <= v < self.n else None
+
     def component_count(self) -> int:
         return len(self.components)
 
     def cycle_count(self) -> int:
-        return sum(1 for c in self.components.values() if c.kind == CYCLE)
+        return self.kind_counts[CYCLE]
 
     def singleton_count(self) -> int:
-        return sum(1 for c in self.components.values() if c.kind == SINGLETON)
+        return self.kind_counts[SINGLETON]
 
     def potential(self) -> tuple[int, int, int]:
         """Lexicographic solve objective: (components, -cycles, singletons)."""
-        return (self.component_count(), -self.cycle_count(), self.singleton_count())
+        counts = self.kind_counts
+        return (len(self.components), -counts[CYCLE], counts[SINGLETON])
 
     def kind_of(self, v: int) -> str:
         return self.components[self.owner[v]].kind
@@ -158,10 +189,17 @@ def validate_partition(g: Graph, p: PathPartition) -> tuple[bool, list[str]]:
             violations.append(f"vertex {v} uncovered")
         elif c > 1:
             violations.append(f"vertex multiplicity: vertex {v} in {c} components")
-    for v, cid in p.owner.items():
+    for v, cid in enumerate(p.owner):
+        if cid is None:
+            continue
         comp = p.components.get(cid)
         if comp is None or p.pos[v] >= len(comp.vertices) or comp.vertices[p.pos[v]] != v:
             violations.append(f"owner index stale for vertex {v}")
+    kinds = dict.fromkeys(p.kind_counts, 0)
+    for comp in p.components.values():
+        kinds[comp.kind] = kinds.get(comp.kind, 0) + 1
+    if kinds != p.kind_counts:
+        violations.append(f"kind counts {p.kind_counts} stale, components hold {kinds}")
     return (not violations, violations)
 
 

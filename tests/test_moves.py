@@ -10,9 +10,9 @@ from pathpart.moves import (SingletonEliminationError, apply_move,
                             find_compound_move, find_derived_move,
                             find_pair_move)
 from pathpart.partition import PathPartition, partition_to_json, validate_partition
-from pathpart.solver import initial_partition
+from pathpart.solver import initial_partition, solve
 
-from conftest import complete_graph
+from conftest import complete_graph, count_calls
 
 
 def _chain(lo, hi):
@@ -105,6 +105,15 @@ def test_singleton_two_step_shift():
     _apply_and_check(g, p, mv)
     assert p.singleton_count() == 0
     assert p.component_count() == 3
+
+
+def test_outright_absorptions_build_no_signature(monkeypatch):
+    # all six singletons of this solve are absorbed without a shift, so the
+    # search never needs the O(n) partition signature that keys its states
+    signatures = count_calls(monkeypatch, moves._partition_signature)
+    report = solve(gen_random_regular(200, 6, seed=4), seed=0)
+    assert report.move_counts["singleton"] == 6
+    assert signatures == []
 
 
 def test_singleton_exhaustion_on_star():
@@ -242,7 +251,21 @@ def test_apply_primitive_refuses_and_leaves_the_partition(prim, message):
     before = partition_to_json(p)
     op, *rest = prim
     if op in ("split", "close", "open"):  # these name their component by a vertex
-        rest[0] = p.owner.get(rest[0], rest[0])  # 99 names no vertex and no component
+        v = rest[0]  # 99 names no vertex and no component
+        rest[0] = p.owner[v] if 0 <= v < p.n else v
     with pytest.raises(moves.MoveEngineError, match=message):
         moves.apply_primitive(g, p, (op, *rest))
+    assert partition_to_json(p) == before
+
+
+@pytest.mark.parametrize("kind, prim", [("path", ("split", 0, 2, -1)),
+                                        ("cycle", ("open", 0, 0, -1))],
+                         ids=["split", "open"])
+def test_apply_primitive_refuses_a_negative_vertex(kind, prim):
+    # as a list index -1 reads vertex 3, which would make a legal pair here
+    g = Graph(4, _chain(0, 3) + [(0, 3)])
+    p = PathPartition.from_lists(4, **{kind + "s": [[0, 1, 2, 3]]})
+    before = partition_to_json(p)
+    with pytest.raises(moves.MoveEngineError, match=r"pair \(\d, -1\) not in component 0"):
+        moves.apply_primitive(g, p, prim)
     assert partition_to_json(p) == before

@@ -6,7 +6,7 @@ from hypothesis import example, given
 
 from pathpart.graphs import (Graph, gen_circulant, gen_disjoint_cliques,
                              gen_random_regular)
-from pathpart.oracle import (OracleResult, OracleUnknown, exact_pi_p,
+from pathpart.oracle import (OracleResult, OracleUnknown, _peel, exact_pi_p,
                              max_linear_forest, pi_p_via_linear_forest)
 from pathpart.partition import (PathPartition, partition_to_json,
                                 validate_partition)
@@ -50,6 +50,13 @@ def test_star_needs_many_paths():
     g = Graph(5, [(0, i) for i in range(1, 5)])
     assert exact_pi_p(g).pi_p == 3
     assert pi_p_via_linear_forest(g) == 3
+
+
+def test_witness_peel_refuses_a_vertex_outside_the_subset():
+    # n=2 with no edge, from a DP whose sentinel was wrong: ends[{1}] names
+    # vertex 0, which the peel has already taken, and s ^= 1 would put it back
+    with pytest.raises(RuntimeError, match="vertex 0 is not in subset 0x2"):
+        _peel([0, 3, 3, 3], {1: 0, 2: 0}, 3)
 
 
 def test_max_linear_forest_triangle():

@@ -1,3 +1,6 @@
+import json
+
+import pytest
 from hypothesis import given, strategies as st
 
 from pathpart import moves
@@ -90,5 +93,28 @@ def test_json_round_trip_under_random_primitives(data):
 def test_copy_is_independent():
     p = PathPartition.from_lists(4, paths=[[0, 1, 2, 3]])
     q = p.copy()
+    assert q.owner is not p.owner and q.pos is not p.pos
+    assert q.kind_counts is not p.kind_counts
+    q.set_kind(q.owner[0], "cycle")
+    assert p.potential() == (1, 0, 0) and q.potential() == (1, -1, 0)
     q.remove(q.owner[0])
-    assert p.component_count() == 1 and q.component_count() == 0
+    q.add(Component("singleton", [3]))
+    assert p.component_count() == 1 and q.component_count() == 1
+    assert p.owner == [0, 0, 0, 0] and p.pos == [0, 1, 2, 3]
+    assert q.owner == [None, None, None, 1] and q.pos == [None, None, None, 0]
+    assert p.potential() == (1, 0, 0) and q.potential() == (1, 0, 1)
+
+
+@pytest.mark.parametrize("lists, violations", [
+    ({"paths": [[0, 1, 5]], "singletons": [2]},
+     ["component 0: vertex 5 out of range", "component 0: missing edge (1, 5)"]),
+    ({"paths": [[0, 1, -1]], "singletons": [2]},
+     ["component 0: vertex -1 out of range", "component 0: missing edge (1, -1)"]),
+    ({"paths": [[2, 0, 1]], "singletons": [-1]}, ["component 1: vertex -1 out of range"]),
+    ({"singletons": [0, 1, 2, 3]}, ["component 3: vertex 3 out of range"]),
+], ids=["past-n", "negative-beside-last", "negative-singleton", "singleton-at-n"])
+def test_vertices_outside_the_graph_are_reported_not_raised(lists, violations):
+    # an index list would raise at n and read -1 as vertex 2
+    g = complete_graph(3)
+    for p in (PathPartition.from_lists(3, **lists), partition_from_json(3, json.dumps(lists))):
+        assert validate_partition(g, p) == (False, violations)

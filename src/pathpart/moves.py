@@ -401,48 +401,69 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
     components with one more cycle). Also covers the dangerous-vertex
     configurations whose balanced edges point the wrong way.
 
+    The free edges are walked vertex by vertex, so a vertex that cannot be
+    cut at (not on a path, or V2a/V5 with no V2 path neighbour) is passed
+    over with its whole neighbour list; the edge order is unchanged.
+
     Each candidate is decided on a `_CutView` of the live partition; nothing
-    is built. With `failures` (see solver.SolveState), a free edge that
-    decided a view and found no move is recorded with the components its
-    verdict read, `_watches`, and skipped while each is alive with the same
-    kind; the scan still returns the first hit in edge order.
+    is built. A candidate whose new ends sa and sb have one and the same
+    balanced target t is rejected before its view, because
+    `_plan_reconnection` cannot plan it. A vertex with one target is not
+    heavy, so there is no swap: x1 = sa, x2 = sb, t2 = [t] and t1 ⊆ [t]. If
+    t is no path end, t1 is empty, and every branch takes ox1 from t1. If t
+    is a path end, it is neither a nor b, since sa-a and sb-b are path edges
+    and not free; so t ends whichever piece holds it: t = o2 on x2's piece,
+    t = o1 on x1's piece, and otherwise it lies outside both. Every branch
+    needs an ox1 other than ox2 = t, or outside {o1, o2}, so none plans.
+
+    With `failures` (see solver.SolveState), a free edge that decided a
+    candidate by a view or by that rejection and found no move is recorded
+    with the components its verdict read, `_watches`, and skipped while each
+    is alive with the same kind; the scan still returns the first hit in
+    edge order.
     """
     cls = vc.cls
     comps = p.components
-    for a, b in vc.free_edges():
-        if cls[a] in _NO_V2_NEIGHBOUR or cls[b] in _NO_V2_NEIGHBOUR:
+    owner = p.owner
+    balanced = vc.balanced
+    for a, nbrs in enumerate(vc.free_nbrs):
+        if cls[a] in _NO_V2_NEIGHBOUR or comps[owner[a]].kind != PATH:
             continue
-        if comps[p.owner[a]].kind != PATH or comps[p.owner[b]].kind != PATH:
-            continue
-        if failures is not None:
-            watches = failures.get((a, b))
-            if watches is not None and all(
-                    cid in comps and comps[cid].kind == kind for cid, kind in watches):
+        for b in nbrs:
+            if b <= a or cls[b] in _NO_V2_NEIGHBOUR or comps[owner[b]].kind != PATH:
                 continue
-        same = p.owner[a] == p.owner[b]
-        viewed = False
-        for sa in p.path_neighbors(a):
-            if not vc.is_v2(sa):
-                continue
-            for sb in p.path_neighbors(b):
-                if not vc.is_v2(sb):
+            if failures is not None:
+                watches = failures.get((a, b))
+                if watches is not None and all(
+                        cid in comps and comps[cid].kind == kind for cid, kind in watches):
                     continue
-                if same:
-                    pa, pb = p.pos[a], p.pos[b]
-                    lo_v, lo_p, hi_v, hi_p = (a, pa, b, pb) if pa < pb else (b, pb, a, pa)
-                    s_lo = sa if lo_v == a else sb
-                    s_hi = sb if lo_v == a else sa
-                    # both cuts facing outward would close the middle into a cycle
-                    if p.pos[s_lo] < lo_p and p.pos[s_hi] > hi_p:
+            same = owner[a] == owner[b]
+            viewed = False
+            for sa in p.path_neighbors(a):
+                if not vc.is_v2(sa):
+                    continue
+                for sb in p.path_neighbors(b):
+                    if not vc.is_v2(sb):
                         continue
-                viewed = True
-                steps = _plan_reconnection(_CutView(p, sa, a, sb, b), sa, sb, vc)
-                if steps is not None:
-                    return Move("derived", [("split_at", (sa, a)), ("split_at", (sb, b)),
-                                            ("join", (a, b))] + steps)
-        # an edge rejected before any view is cheaper to re-check than to watch
-        if viewed and failures is not None:
-            failures[a, b] = _watches(g, p, a, b)
+                    if same:
+                        pa, pb = p.pos[a], p.pos[b]
+                        lo_v, lo_p, hi_v, hi_p = (a, pa, b, pb) if pa < pb else (b, pb, a, pa)
+                        s_lo = sa if lo_v == a else sb
+                        s_hi = sb if lo_v == a else sa
+                        # both cuts facing outward would close the middle into a cycle
+                        if p.pos[s_lo] < lo_p and p.pos[s_hi] > hi_p:
+                            continue
+                    viewed = True
+                    ta = balanced[sa]
+                    if len(ta) == 1 and ta == balanced[sb]:
+                        continue  # one shared target: no plan (see the docstring)
+                    steps = _plan_reconnection(_CutView(p, sa, a, sb, b), sa, sb, vc)
+                    if steps is not None:
+                        return Move("derived", [("split_at", (sa, a)), ("split_at", (sb, b)),
+                                                ("join", (a, b))] + steps)
+            # an edge rejected before any candidate is cheaper to re-check than to watch
+            if viewed and failures is not None:
+                failures[a, b] = _watches(g, p, a, b)
     steps = _find_dangerous_move(p, vc)
     return None if steps is None else Move("derived", steps)
 

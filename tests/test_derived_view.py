@@ -1,10 +1,12 @@
 """Property tests: the derived scan, deciding each candidate on a view of the
 live partition, returns the move that building every candidate on a copy
 returns; and skipping the free edges whose recorded failures still stand
-returns the move a full scan returns."""
+returns the move a full scan returns. Hand-built partitions pin the
+candidates rejected before any view."""
 
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathpart import moves
@@ -197,3 +199,73 @@ def test_derived_failures_match_a_full_scan_under_random_primitives(data):
             continue
         assert (moves.find_derived_move(g, p, vc, state.derived_failures)
                 == moves.find_derived_move(g, p, vc))
+
+
+def _named_instance(paths=(), cycles=(), singletons=(), free=()):
+    """The graph of the named components' edges plus the named free edges,
+    its partition into those components, and the vertex of each name;
+    vertices are numbered in order of first appearance."""
+    v = {}
+    for seq in (*paths, *cycles, singletons):
+        for name in seq:
+            v.setdefault(name, len(v))
+    edges = [(v[x], v[y]) for seq in (*paths, *cycles) for x, y in zip(seq, seq[1:])]
+    edges += [(v[seq[-1]], v[seq[0]]) for seq in cycles]
+    edges += [(v[x], v[y]) for x, y in free]
+    p = PathPartition.from_lists(len(v), paths=[[v[x] for x in seq] for seq in paths],
+                                 cycles=[[v[x] for x in seq] for seq in cycles],
+                                 singletons=[v[x] for x in singletons])
+    return Graph(len(v), edges), p, v
+
+
+def _record_views(monkeypatch):
+    views = []
+    init = moves._CutView.__init__
+
+    def recorded(self, p, sa, a, sb, b):
+        views.append((sa, a, sb, b))
+        init(self, p, sa, a, sb, b)
+
+    monkeypatch.setattr(moves._CutView, "__init__", recorded)
+    return views
+
+
+# free edge a-b with V2 path neighbours sa and sb whose one balanced target is t
+_SHARED_T = [("a", "b"), ("sa", "t"), ("sb", "t")]
+_APART = [["u1", "sa", "a", "u2"], ["q0", "b", "sb", "q3"]]
+
+
+@pytest.mark.parametrize("paths, cycles, singletons", [
+    (_APART + [["t", "w"]], [], []),
+    ([["t", "m", "sa", "a", "u2"], ["q0", "b", "sb", "q3"]], [], []),
+    ([["u1", "sa", "a", "u2"], ["t", "m", "sb", "b", "q3"]], [], []),
+    (_APART, [["t", "c1", "c2"]], []),
+    (_APART, [], ["t"]),
+    ([["u1", "a", "sa", "m", "sb", "b", "u2"], ["t", "w"]], [], []),
+], ids=["outside path", "x1 piece", "x2 piece", "cycle", "singleton", "middle piece"])
+def test_one_shared_target_is_rejected_without_a_view(monkeypatch, paths, cycles, singletons):
+    g, p, v = _named_instance(paths, cycles, singletons, _SHARED_T)
+    vc = classify_vertices(g, p, classify_edges(g, p))
+    sa, a, sb, b, t = (v[x] for x in ("sa", "a", "sb", "b", "t"))
+    assert vc.balanced[sa] == vc.balanced[sb] == [t]
+    # the view would plan nothing, so skipping it loses no move
+    assert moves._plan_reconnection(moves._CutView(p, sa, a, sb, b), sa, sb, vc) is None
+    views = _record_views(monkeypatch)
+    failures = {}
+    assert moves.find_derived_move(g, p, vc, failures) == _built_derived_move(g, p, vc)
+    assert views == []
+    # the rejected edge is watched like an edge whose views all failed
+    assert (min(a, b), max(a, b)) in failures
+
+
+def test_a_second_target_keeps_the_candidate(monkeypatch):
+    g, p, v = _named_instance(_APART + [["t", "w"], ["t2", "w2"]],
+                              free=_SHARED_T + [("sa", "t2")])
+    vc = classify_vertices(g, p, classify_edges(g, p))
+    sa, a, sb, b, t, t2 = (v[x] for x in ("sa", "a", "sb", "b", "t", "t2"))
+    assert (vc.balanced[sa], vc.balanced[sb]) == ([t, t2], [t])
+    views = _record_views(monkeypatch)
+    mv = moves.find_derived_move(g, p, vc)
+    assert mv == _built_derived_move(g, p, vc)
+    assert mv.steps[3:] == [("attach", (sb, t)), ("attach", (sa, t2))]
+    assert views == [(sa, a, sb, b)]

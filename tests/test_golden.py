@@ -63,7 +63,9 @@ def test_a_solve_copies_the_partition_once(monkeypatch):
 
 def test_a_solve_views_only_the_free_edges_whose_components_changed(monkeypatch):
     # a free edge whose views found no move is skipped while the components
-    # its verdict read stand (129 views when every call rescanned every edge)
+    # its verdict read stand, and a candidate whose two new ends share one
+    # balanced target is rejected without a view: 129 views when every call
+    # rescanned every edge, 118 with the failure records alone, 13 with both
     views = []
     init = moves._CutView.__init__
 
@@ -74,7 +76,7 @@ def test_a_solve_views_only_the_free_edges_whose_components_changed(monkeypatch)
     monkeypatch.setattr(moves._CutView, "__init__", counted)
     report = solve(_perturbed_cliques())
     assert report.move_counts == {"basic": 7, "derived": 4, "pair": 1}
-    assert len(views) == 118
+    assert len(views) == 13
 
 
 def test_check_refuses_failures_that_hide_a_derived_move():

@@ -45,14 +45,30 @@ class Graph:
             if e in norm:
                 raise GraphError(f"duplicate edge {e}")
             norm.add(e)
+        self._fill(n, norm)
+
+    @classmethod
+    def _from_checked(cls, n: int, edgeset: set[tuple[int, int]]) -> Graph:
+        """The graph on edges that are already in range, (u, v) with u < v,
+        and distinct, as `read_edge_list` leaves them: no edge is checked
+        again. `edgeset` is kept, not copied."""
+        if n < 0:
+            raise GraphError("vertex count must be nonnegative")
+        g = cls.__new__(cls)
+        g._fill(n, edgeset)
+        return g
+
+    def _fill(self, n: int, edgeset: set[tuple[int, int]]) -> None:
         self.n = n
-        self.edges = tuple(sorted(norm))
-        self._edgeset = norm
+        self.edges = tuple(sorted(edgeset))
+        self._edgeset = edgeset
+        # scanning the sorted edges appends each vertex's smaller neighbours,
+        # then its larger ones, all ascending
         adj = [[] for _ in range(n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
+        self.adj = tuple(map(tuple, adj))
 
     @property
     def m(self) -> int:
@@ -193,7 +209,6 @@ def read_edge_list(text: str | bytes) -> Graph:
         text = text.decode("ascii")
     n, m = read_header(text)
     lines = text.splitlines()
-    edges = []
     seen = set()
     row = 1
     for raw in lines[1:]:
@@ -215,10 +230,9 @@ def read_edge_list(text: str | bytes) -> Graph:
         if e in seen:
             raise EdgeListParseError(f"duplicate edge {e}", row)
         seen.add(e)
-        edges.append(e)
-    if len(edges) != m:
-        raise EdgeListParseError(f"header announced {m} edges, found {len(edges)}", row)
-    return Graph(n, edges)
+    if len(seen) != m:
+        raise EdgeListParseError(f"header announced {m} edges, found {len(seen)}", row)
+    return Graph._from_checked(n, seen)
 
 
 def write_edge_list(g: Graph) -> str:

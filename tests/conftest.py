@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 import sys
 from functools import lru_cache
 
@@ -43,6 +44,20 @@ def count_calls(monkeypatch, func) -> list:
         if name.split(".")[0] == "pathpart" and getattr(module, func.__name__, None) is func:
             monkeypatch.setattr(module, func.__name__, counted)
     return calls
+
+
+def switched(g: Graph, count: int, seed: int) -> Graph:
+    """g after `count` seeded double-edge switches (a, b), (c, d) -> (a, d),
+    (c, b), which keep every degree."""
+    rng = random.Random(seed)
+    edges = set(g.edges)
+    while count:
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        new = {(min(a, d), max(a, d)), (min(c, b), max(c, b))}
+        if len({a, b, c, d}) == 4 and not new & edges:
+            edges = edges - {(a, b), (c, d)} | new
+            count -= 1
+    return Graph(g.n, edges)
 
 
 @st.composite

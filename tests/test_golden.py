@@ -1,5 +1,7 @@
 """Golden outputs: a perturbed-clique solve whose move trace and JSON report
-must stay byte-identical across refactors of the move layer."""
+must stay byte-identical across refactors of the move layer, and the
+discharge outputs (a failing certificate, a D5 solve, an audit) that must
+stay byte-identical across changes to the ledger's arithmetic."""
 
 import hashlib
 import json
@@ -8,9 +10,12 @@ import pytest
 
 from pathpart import moves
 from pathpart.cli import main
-from pathpart.graphs import Graph, gen_disjoint_cliques, write_edge_list
+from pathpart.discharge import RULES_D6
+from pathpart.graphs import Graph, contains_k6, gen_disjoint_cliques, write_edge_list
 from pathpart.partition import PathPartition
 from pathpart.solver import SolveState, _next_move, initial_partition, solve
+
+from conftest import switched
 
 # double-edge switches (a, b), (c, d) -> (a, d), (c, b) on 12 disjoint K7s;
 # the solve makes 7 basic, 4 derived and 1 pair move
@@ -91,3 +96,41 @@ def test_check_refuses_failures_that_hide_a_derived_move():
     state.derived_failures[join[1]] = []
     with pytest.raises(moves.MoveEngineError, match="derived"):
         state.check()
+
+
+# -- discharge outputs -------------------------------------------------------
+# pinned before the ledger moved from Fractions to whole 1/unit points, so
+# every printed total, floor and transfer amount must keep these bytes
+
+FAILING_CERT_SHA256 = "36b8efd0134ee6e175661e4b267a86dba17f26312c64bcd81775a189a2829ea0"
+D5_JSON_SHA256 = "a62c1eff86110ef3122d03f43dd70ef9c7434b9d9d922fefe0e6996f41f8c253"
+AUDIT_SHA256 = "1d4c9a838ee4ee7801c20ed7b0836bf3f979b6314ae8e2fb5a96275576a583eb"
+
+
+def test_failing_certificate_json_is_golden():
+    # two K6 components closed into 6-cycles hold 6 points each under D6
+    cert = solve(gen_disjoint_cliques(5, 2, seed=2), seed=0, rules=RULES_D6).certificate
+    assert not cert.verdict and len(cert.violations) == 2
+    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == FAILING_CERT_SHA256
+
+
+def test_d5_solve_json_is_golden(tmp_path):
+    # four K5,5s joined by six switches: 5-regular, K6-free, rules 2 and 5 fire
+    k55s = Graph(40, [(10 * c + i, 10 * c + 5 + j)
+                      for c in range(4) for i in range(5) for j in range(5)])
+    g = switched(k55s, 6, seed=6)
+    assert contains_k6(g) is None and all(len(a) == 5 for a in g.adj)
+    inst, out = tmp_path / "g.txt", tmp_path / "solve.json"
+    inst.write_text(write_edge_list(g))
+    assert main(["solve", str(inst), "--json", "-o", str(out)]) == 0
+    cert = json.loads(out.read_text().splitlines()[-1])
+    assert cert["variant"] == "D5" and cert["rule_counts"]["rule5"] > 0
+    assert _sha256(out) == D5_JSON_SHA256
+
+
+def test_perturbed_clique_audit_is_golden(tmp_path):
+    inst, out = tmp_path / "g.txt", tmp_path / "audit.json"
+    inst.write_text(write_edge_list(_perturbed_cliques()))
+    assert main(["audit", str(inst), "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["checks"] > 0
+    assert _sha256(out) == AUDIT_SHA256

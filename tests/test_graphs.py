@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from pathpart.graphs import (EdgeListParseError, GenerationError, Graph,
                              GraphError, contains_k6, gen_circulant,
@@ -92,6 +92,20 @@ def test_edge_list_round_trip():
 @given(simple_graphs(12))
 def test_edge_list_round_trip_any_graph(g):
     assert read_edge_list(write_edge_list(g)) == g
+
+
+@given(simple_graphs(max_n=12), st.randoms())
+def test_parsed_graph_equals_the_checking_constructor(g, rnd):
+    # the parser builds its Graph without a second check; its edges and
+    # adjacency must still be those Graph() builds, adjacency ascending
+    edges = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in g.edges]
+    rnd.shuffle(edges)
+    parsed = read_edge_list(f"{g.n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    built = Graph(g.n, edges)
+    assert parsed.edges == built.edges == g.edges
+    assert parsed.adj == built.adj == tuple(
+        tuple(sorted(w for e in g.edges if v in e for w in e if w != v)) for v in range(g.n))
+    assert all(parsed.has_edge(v, u) for u, v in g.edges)
 
 
 def test_read_edge_list_accepts_bytes_and_unsorted():

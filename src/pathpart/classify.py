@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Graph
-from .partition import CYCLE, PATH, PathPartition
+from .partition import END, INNER, ON_CYCLE, PathPartition
 
 V1 = "V1"
 V2A = "V2a"
@@ -28,14 +28,13 @@ class CrossCycleError(ValueError):
 def edge_is_free(p: PathPartition, u: int, v: int) -> bool:
     """Whether (u, v) is free: neither a partition edge of a path nor inside one
     cycle (chords included). CrossCycleError if it joins two distinct cycles."""
-    cu, cv = p.owner[u], p.owner[v]
-    ku = p.components[cu].kind
-    kv = p.components[cv].kind
-    if cu == cv and ku == CYCLE:
-        return False
-    if ku == CYCLE and kv == CYCLE:
+    role, owner = p.role, p.owner
+    if role[u] == ON_CYCLE and role[v] == ON_CYCLE:
+        if owner[u] == owner[v]:
+            return False
         raise CrossCycleError((u, v))
-    return not (cu == cv and ku == PATH and p.part_adjacent(u, v))
+    # a path edge joins consecutive vertices of one path; any other edge is free
+    return owner[u] != owner[v] or abs(p.pos[u] - p.pos[v]) != 1
 
 
 def classify_edges(g: Graph, p: PathPartition) -> list[list[int]]:
@@ -90,12 +89,6 @@ class VertexClassification:
         return self.balanced.get(v, [])
 
 
-def is_v1(p: PathPartition, v: int) -> bool:
-    """v is a path end, a singleton or a cycle vertex: V1, and joinable by a basic move."""
-    comp = p.components[p.owner[v]]
-    return comp.kind != PATH or v == comp.vertices[0] or v == comp.vertices[-1]
-
-
 def classify_vertices(g: Graph, p: PathPartition,
                       free_nbrs: list[list[int]]) -> VertexClassification:
     """Classify every vertex, given `classify_edges`' free-neighbour lists."""
@@ -131,8 +124,9 @@ def reclassify(g: Graph, p: PathPartition, vc: VertexClassification, dirty) -> N
         flipped = [v for v in near if _balance(p, vc, v)]
         region = dirty.union(flipped, [w for v in flipped for w in p.path_neighbors(v)])
     v2 = vc.balanced_path_ends  # keyed by exactly the V2 vertices
+    role = p.role
     for v in region:
-        if is_v1(p, v):
+        if role[v] != INNER:
             vc.cls[v] = V1
             continue
         nb2 = sum(1 for w in p.path_neighbors(v) if w in v2)
@@ -150,11 +144,13 @@ def _balance(p: PathPartition, vc: VertexClassification, v: int) -> bool:
     """Record v's balanced targets and its moderate and heavy marks; whether
     its V2 membership or either mark changed."""
     targets, ends = [], []
-    if not is_v1(p, v):
+    role = p.role
+    if role[v] == INNER:
         for w in vc.free_nbrs[v]:  # ascending, so both lists are too
-            if is_v1(p, w):
+            r = role[w]
+            if r != INNER:
                 targets.append(w)
-                if p.components[p.owner[w]].kind == PATH:
+                if r == END:
                     ends.append(w)
     was_v2 = v in vc.balanced
     if targets:

@@ -12,9 +12,10 @@ from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 
-from .classify import V2A, V5, VertexClassification, is_v1
+from .classify import V2A, V5, VertexClassification
 from .graphs import Graph
-from .partition import CYCLE, PATH, SINGLETON, Component, PathPartition
+from .partition import (ALONE, CYCLE, END, INNER, ON_CYCLE, PATH, SINGLETON, Component,
+                        PathPartition)
 
 
 # search budgets: singleton-shift states expanded, compound-search nodes; and
@@ -169,7 +170,7 @@ class _Builder:
 
     def attach(self, u: int, t: int) -> None:
         """Join u to t, opening t's cycle first when needed. Consumes edge (u, t)."""
-        if self.p.components[self.p.owner[t]].kind == CYCLE:
+        if self.p.role[t] == ON_CYCLE:
             self.open_at(t)
         self.join(u, t)
 
@@ -178,7 +179,8 @@ class _Builder:
 
 def joinable(p: PathPartition, u: int, v: int) -> bool:
     """A basic move can join u and v: different components, both in V1."""
-    return p.owner[u] != p.owner[v] and is_v1(p, u) and is_v1(p, v)
+    role = p.role
+    return role[u] != INNER and role[v] != INNER and p.owner[u] != p.owner[v]
 
 
 def closable(g: Graph, p: PathPartition, cid: int) -> bool:
@@ -239,7 +241,7 @@ def eliminate_singletons(g: Graph, p: PathPartition) -> Move | None:
     """
     if not p.singleton_count():
         return None
-    v0 = min(c.vertices[0] for c in p.components.values() if c.kind == SINGLETON)
+    v0 = p.role.index(ALONE)
     queue = deque([(p, v0, [])])
     seen = None
     expanded = 0
@@ -248,25 +250,21 @@ def eliminate_singletons(g: Graph, p: PathPartition) -> Move | None:
         expanded += 1
         if expanded > SHIFT_STATE_BUDGET:
             raise SingletonEliminationError("singleton shift search budget exceeded")
+        role = state.role
         for w in g.adj[v]:
-            kw = state.components[state.owner[w]].kind
-            if kw == SINGLETON or (kw == PATH and state.is_end(w)):
+            if role[w] == ALONE or role[w] == END:
                 return Move("singleton", prefix + [("join", (v, w))])
-            if kw == CYCLE:
+            if role[w] == ON_CYCLE:
                 return Move("singleton", prefix + [("attach", (v, w))])
-        for w in g.adj[v]:
-            comp = state.components[state.owner[w]]
-            if comp.kind != PATH or state.is_end(w) or len(comp.vertices) < 4:
+        for w in g.adj[v]:  # every neighbour is a path interior now
+            verts = state.components[state.owner[w]].vertices
+            if len(verts) < 4:
                 continue
-            verts = comp.vertices
             i = state.pos[w]
             cut = (w, verts[i + 1]) if i <= len(verts) - 3 else (verts[i - 1], w)
             return Move("singleton", prefix + [("split_at", cut), ("join", (v, w))])
-        for w in g.adj[v]:
-            comp = state.components[state.owner[w]]
-            if comp.kind != PATH or len(comp.vertices) != 3 or state.pos[w] != 1:
-                continue
-            x, _, z = comp.vertices
+        for w in g.adj[v]:  # each the middle of a path of 3
+            x, _, z = state.components[state.owner[w]].vertices
             for popped, cut in ((x, (x, w)), (z, (w, z))):
                 steps = [("split_at", cut), ("join", (v, w))]
                 shifted = state.copy()
@@ -332,7 +330,7 @@ class _CutView:
 
     def is_cycle(self, v: int) -> bool:
         """v's component is a cycle (the cuts and the join touch only paths)."""
-        return self.p.components[self.p.owner[v]].kind == CYCLE
+        return self.p.role[v] == ON_CYCLE
 
 
 def _plan_reconnection(view: _CutView, w1: int, w2: int,
@@ -392,6 +390,7 @@ def _plan_reconnection(view: _CutView, w1: int, w2: int,
 
 # an interior vertex of these classes has no V2 path neighbour to cut at
 _NO_V2_NEIGHBOUR = (V2A, V5)
+_OFF_PATH = (ON_CYCLE, ALONE)
 
 
 def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
@@ -425,12 +424,13 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
     cls = vc.cls
     comps = p.components
     owner = p.owner
+    role = p.role
     balanced = vc.balanced
     for a, nbrs in enumerate(vc.free_nbrs):
-        if cls[a] in _NO_V2_NEIGHBOUR or comps[owner[a]].kind != PATH:
+        if cls[a] in _NO_V2_NEIGHBOUR or role[a] in _OFF_PATH:
             continue
         for b in nbrs:
-            if b <= a or cls[b] in _NO_V2_NEIGHBOUR or comps[owner[b]].kind != PATH:
+            if b <= a or cls[b] in _NO_V2_NEIGHBOUR or role[b] in _OFF_PATH:
                 continue
             if failures is not None:
                 watches = failures.get((a, b))
@@ -535,7 +535,7 @@ def _stray_inner_anchor_move(p, vc, v3, x1, y1, u, x2, o1, o2):
             return [("split_at", (v3, y1)), ("split_at", (u, x2)), ("join", (x2, o1)),
                     ("join", (v3, u)),
                     ("close_of", (y1,)) if s == o2 else ("attach", (y1, s))]
-        if p.components[p.owner[t]].kind == CYCLE:
+        if p.role[t] == ON_CYCLE:
             oy = next(iter(vc.balanced_path_ends.get(y1, [])), None)
             if oy is None:
                 return None
@@ -585,12 +585,10 @@ def _target_kinds(p, vc, v, o1, o2):
             out.append((t, "o1"))
         elif t == o2:
             out.append((t, "o2"))
-        else:
-            kind = p.components[p.owner[t]].kind
-            if kind == CYCLE:
-                out.append((t, "cyc"))
-            elif kind == PATH:
-                out.append((t, "ext"))
+        elif p.role[t] == ON_CYCLE:
+            out.append((t, "cyc"))
+        elif p.role[t] == END:
+            out.append((t, "ext"))
     return out
 
 
@@ -712,10 +710,9 @@ def find_compound_move(g: Graph, p: PathPartition, depth: int = COMPOUND_DEPTH,
 
 def _end_variants(state, v):
     """Step prefixes that leave v joinable: none, a split, or a cycle opening."""
-    comp = state.components[state.owner[v]]
-    if comp.kind == SINGLETON or (comp.kind == PATH and state.is_end(v)):
+    if state.is_end(v):
         return [[]]
-    if comp.kind == CYCLE:
+    if state.role[v] == ON_CYCLE:
         n1, n2 = state.path_neighbors(v)
         return [[("open_edge", (v, n1))], [("open_edge", (v, n2))]]
     n1, n2 = state.path_neighbors(v)
@@ -754,8 +751,7 @@ def _compound_dfs(g, state, phi0, remaining, focus, budget):
             continue
         if state.part_adjacent(u, v):
             continue
-        if (state.owner[u] == state.owner[v]
-                and state.components[state.owner[u]].kind == CYCLE):
+        if state.role[u] == ON_CYCLE and state.owner[u] == state.owner[v]:
             continue
         for step in _edge_steps(state, u, v):
             if budget[0] <= 0:

@@ -10,6 +10,14 @@ PATH = "path"
 CYCLE = "cycle"
 SINGLETON = "singleton"
 
+# a vertex's role in its component, kept per vertex in `PathPartition.role`
+INNER = 0  # path interior
+END = 1  # path end-vertex
+ON_CYCLE = 2
+ALONE = 3  # singleton
+_ROLE_KIND = (PATH, PATH, CYCLE, SINGLETON)  # indexed by role
+_KIND_ROLE = {PATH: INNER, CYCLE: ON_CYCLE, SINGLETON: ALONE}  # a path's ends aside
+
 
 class Component:
     """One component: a path (>=2 vertices), a cycle (>=3, cyclic order), or a singleton."""
@@ -25,16 +33,18 @@ class Component:
 
 
 class PathPartition:
-    """Mutable set of components with a vertex -> (component, position) index.
+    """Mutable set of components with a vertex -> (component, position, role)
+    index.
 
     Components live in a dict keyed by creation-ordered integer ids, so moves
-    can reference components stably while they split and merge. `owner[v]` and
-    `pos[v]` are lists over the vertices 0..n-1, None for a vertex in no
-    component; code that takes vertices from outside checks their range first
-    (`owner_of`), as a list reads -1 as the last vertex. The path, cycle and
-    singleton counts follow every `add`, `remove` and `set_kind`, so
-    `potential()` is O(1). One owner mutates at a time; a copy is independent
-    but costs O(n).
+    can reference components stably while they split and merge. `owner[v]`,
+    `pos[v]` and `role[v]` are lists over the vertices 0..n-1, None for a
+    vertex in no component; code that takes vertices from outside checks their
+    range first (`owner_of`), as a list reads -1 as the last vertex. `role[v]`
+    is INNER, END, ON_CYCLE or ALONE, so whether v is a path end, a cycle
+    vertex or a singleton is one list read. The path, cycle and singleton
+    counts follow every `add`, `remove` and `set_kind`, so `potential()` is
+    O(1). One owner mutates at a time; a copy is independent but costs O(n).
     """
 
     def __init__(self, n: int):
@@ -42,6 +52,7 @@ class PathPartition:
         self.components: dict[int, Component] = {}
         self.owner: list[int | None] = [None] * n
         self.pos: list[int | None] = [None] * n
+        self.role: list[int | None] = [None] * n
         self.kind_counts = {PATH: 0, CYCLE: 0, SINGLETON: 0}
         self._next_id = 0
 
@@ -61,9 +72,11 @@ class PathPartition:
                 continue
             cid = p.add(Component(comp.kind, []))  # counted; indexed below
             p.components[cid] = comp
+            last = len(comp.vertices) - 1
             for i, v in enumerate(comp.vertices):
                 if 0 <= v < n:
                     p.owner[v], p.pos[v] = cid, i
+                    p.role[v] = _role(comp.kind, i, last)
         return p
 
     def add(self, comp: Component) -> int:
@@ -72,18 +85,15 @@ class PathPartition:
         self._next_id += 1
         self.components[cid] = comp
         self.kind_counts[comp.kind] += 1
-        owner, pos = self.owner, self.pos
-        for i, v in enumerate(comp.vertices):
-            owner[v] = cid
-            pos[v] = i
+        self._index(cid, comp)
         return cid
 
     def remove(self, cid: int) -> Component:
         comp = self.components.pop(cid)
         self.kind_counts[comp.kind] -= 1
-        owner, pos = self.owner, self.pos
+        owner, pos, role = self.owner, self.pos, self.role
         for v in comp.vertices:
-            owner[v] = pos[v] = None
+            owner[v] = pos[v] = role[v] = None
         return comp
 
     def set_kind(self, cid: int, kind: str) -> None:
@@ -92,12 +102,25 @@ class PathPartition:
         self.kind_counts[comp.kind] -= 1
         self.kind_counts[kind] += 1
         comp.kind = kind
+        self._index(cid, comp)
+
+    def _index(self, cid: int, comp: Component) -> None:
+        owner, pos, role = self.owner, self.pos, self.role
+        verts = comp.vertices
+        r = _KIND_ROLE[comp.kind]
+        for i, v in enumerate(verts):
+            owner[v] = cid
+            pos[v] = i
+            role[v] = r
+        if r == INNER and verts:
+            role[verts[0]] = role[verts[-1]] = END
 
     def copy(self) -> "PathPartition":
         p = PathPartition(self.n)
         p.components = {cid: Component(c.kind, c.vertices) for cid, c in self.components.items()}
         p.owner = self.owner.copy()
         p.pos = self.pos.copy()
+        p.role = self.role.copy()
         p.kind_counts = self.kind_counts.copy()
         p._next_id = self._next_id
         return p
@@ -123,37 +146,43 @@ class PathPartition:
         return (len(self.components), -counts[CYCLE], counts[SINGLETON])
 
     def kind_of(self, v: int) -> str:
-        return self.components[self.owner[v]].kind
+        return _ROLE_KIND[self.role[v]]
 
     def is_end(self, v: int) -> bool:
         """v is joinable as-is: a path end-vertex or a singleton."""
-        comp = self.components[self.owner[v]]
-        if comp.kind == SINGLETON:
-            return True
-        return comp.kind == PATH and (comp.vertices[0] == v or comp.vertices[-1] == v)
+        r = self.role[v]
+        return r == END or r == ALONE
 
     def path_neighbors(self, v: int) -> tuple[int, ...]:
         """Partition-adjacent vertices of v (0 for singletons, 1 for path ends, 2 otherwise)."""
-        comp = self.components[self.owner[v]]
-        verts = comp.vertices
-        i = self.pos[v]
-        if comp.kind == SINGLETON:
+        r = self.role[v]
+        if r == ALONE:
             return ()
-        if comp.kind == CYCLE:
-            k = len(verts)
-            return (verts[(i - 1) % k], verts[(i + 1) % k])
-        out = []
-        if i > 0:
-            out.append(verts[i - 1])
-        if i < len(verts) - 1:
-            out.append(verts[i + 1])
-        return tuple(out)
+        verts = self.components[self.owner[v]].vertices
+        i = self.pos[v]
+        if r == INNER:
+            return (verts[i - 1], verts[i + 1])
+        if r == ON_CYCLE:
+            return (verts[i - 1], verts[(i + 1) % len(verts)])  # verts[-1] precedes verts[0]
+        if i:
+            return (verts[i - 1],)
+        return (verts[1],) if len(verts) > 1 else ()
 
     def part_adjacent(self, u: int, v: int) -> bool:
-        return v in self.path_neighbors(u)
+        if self.owner[u] != self.owner[v]:
+            return False
+        d = abs(self.pos[u] - self.pos[v])
+        return d == 1 or (self.role[u] == ON_CYCLE
+                          and d == len(self.components[self.owner[u]].vertices) - 1)
 
     def sorted_ids(self) -> list[int]:
         return sorted(self.components)
+
+
+def _role(kind: str, i: int, last: int) -> int:
+    """The role of the vertex at position i of a component whose last position is last."""
+    r = _KIND_ROLE[kind]
+    return END if r == INNER and i in (0, last) else r
 
 
 def validate_partition(g: Graph, p: PathPartition) -> tuple[bool, list[str]]:
@@ -195,6 +224,8 @@ def validate_partition(g: Graph, p: PathPartition) -> tuple[bool, list[str]]:
         comp = p.components.get(cid)
         if comp is None or p.pos[v] >= len(comp.vertices) or comp.vertices[p.pos[v]] != v:
             violations.append(f"owner index stale for vertex {v}")
+        elif p.role[v] != _role(comp.kind, p.pos[v], len(comp.vertices) - 1):
+            violations.append(f"role index stale for vertex {v}")
     kinds = dict.fromkeys(p.kind_counts, 0)
     for comp in p.components.values():
         kinds[comp.kind] = kinds.get(comp.kind, 0) + 1

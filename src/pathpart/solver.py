@@ -14,7 +14,7 @@ from .classify import (CrossCycleError, VertexClassification, classify_edges,
 from .discharge import (Certificate, PointLedger, RuleSet, apply_rules, certify,
                         ruleset_for_degree)
 from .graphs import Graph, infer_degree
-from .partition import PATH, PathPartition, validate_partition
+from .partition import INNER, PATH, PathPartition, validate_partition
 
 
 def initial_partition(g: Graph, seed: int = 0) -> PathPartition:
@@ -94,8 +94,10 @@ class SolveState:
     touched dirty and the next read updates the free-neighbour lists of the
     edges at them in place and reclassifies only the region around them.
     Join candidates are a min-heap of edge indices and closure candidates a
-    min-heap of path ids, validated lazily: a move pushes the edges at the
-    joinable vertices and the id of each path it touched, so the first valid
+    min-heap of path ids, validated lazily. The join heap starts with the
+    joinable edges, found at the V1 vertices. A move pushes the joinable edges
+    at the V1 vertices of the components it touched, which hold every edge it
+    made joinable, and the id of each path it touched, so the first valid
     entry is the one a scan of E or of the components would find. The
     derived scan's failures are validated lazily the same way: each free edge
     whose views found no move keeps the components its verdict read, and
@@ -108,7 +110,8 @@ class SolveState:
         for i, (u, v) in enumerate(g.edges):
             self.incident[u].append(i)
             self.incident[v].append(i)
-        self.joins = list(range(g.m))  # sorted, hence a heap
+        # sorted, hence a heap
+        self.joins = sorted(set(self._joins_at(v for v in range(g.n) if p.role[v] != INNER)))
         self.paths = sorted(cid for cid, c in p.components.items() if c.kind == PATH)
         self.dirty: set[int] = set()
         self.vc: VertexClassification | None = None
@@ -124,10 +127,17 @@ class SolveState:
             if comp.kind == PATH:
                 heapq.heappush(self.paths, cid)
                 joinable = (joinable[0], joinable[-1])
-            for v in joinable:
-                for i in self.incident[v]:
-                    heapq.heappush(self.joins, i)
+            for i in self._joins_at(joinable):
+                heapq.heappush(self.joins, i)
         return prims
+
+    def _joins_at(self, vertices):
+        """The indices of the joinable edges at the given vertices."""
+        edges, p = self.g.edges, self.p
+        for v in vertices:
+            for i in self.incident[v]:
+                if moves.joinable(p, *edges[i]):
+                    yield i
 
     def first_join(self) -> tuple[int, int] | None:
         while self.joins:

@@ -10,7 +10,8 @@ from hypothesis import settings, strategies as st
 
 from pathpart import moves
 from pathpart.graphs import Graph, gen_random_regular
-from pathpart.partition import CYCLE, PATH, PathPartition
+from pathpart.partition import (ALONE, CYCLE, END, INNER, ON_CYCLE, PATH, SINGLETON,
+                                PathPartition)
 from pathpart.solver import initial_partition
 
 # a fixed example sequence and no time limit keep the property tests reproducible
@@ -102,6 +103,19 @@ def legal_primitives(g: Graph, p: PathPartition) -> list[tuple]:
     prims += [("join", u, v) for u, v in g.edges
               if p.owner[u] != p.owner[v] and p.is_end(u) and p.is_end(v)]
     return prims
+
+
+def roles_from_components(p: PathPartition) -> list:
+    """Each vertex's role, recomputed from the component lists: None for a
+    vertex in no component. Vertices outside 0..n-1 are left out."""
+    role = [None] * p.n
+    for comp in p.components.values():
+        last = len(comp.vertices) - 1
+        for i, v in enumerate(comp.vertices):
+            if 0 <= v < p.n:
+                role[v] = {PATH: END if i in (0, last) else INNER,
+                           CYCLE: ON_CYCLE, SINGLETON: ALONE}[comp.kind]
+    return role
 
 
 def step_for(p: PathPartition, prim: tuple) -> tuple:

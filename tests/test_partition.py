@@ -5,10 +5,10 @@ from hypothesis import given, strategies as st
 
 from pathpart import moves
 from pathpart.graphs import gen_disjoint_cliques
-from pathpart.partition import (Component, PathPartition, partition_from_json,
-                                partition_to_json, validate_partition)
+from pathpart.partition import (ALONE, END, INNER, ON_CYCLE, Component, PathPartition,
+                                partition_from_json, partition_to_json, validate_partition)
 
-from conftest import complete_graph, draw_start, legal_primitives
+from conftest import complete_graph, draw_start, legal_primitives, roles_from_components
 
 
 def test_hamiltonian_path_on_k7_is_valid():
@@ -68,6 +68,17 @@ def test_owner_index_and_helpers():
     assert p.path_neighbors(1) == (0, 2)
     assert set(p.path_neighbors(4)) == {3, 5}
     assert p.kind_of(3) == "cycle"
+    assert p.role == [END, INNER, END, ON_CYCLE, ON_CYCLE, ON_CYCLE]
+
+
+def test_stale_role_flagged():
+    g = complete_graph(5)
+    p = PathPartition.from_lists(5, paths=[[0, 1, 2, 3]], singletons=[4])
+    assert validate_partition(g, p) == (True, [])
+    p.role[1] = END
+    p.role[4] = INNER
+    assert validate_partition(g, p) == (False, ["role index stale for vertex 1",
+                                                "role index stale for vertex 4"])
 
 
 def test_json_round_trip_and_cycle_canonicalization():
@@ -86,6 +97,7 @@ def test_json_round_trip_under_random_primitives(data):
     for _ in range(data.draw(st.integers(1, 30), label="steps")):
         moves.apply_primitive(g, p, data.draw(st.sampled_from(legal_primitives(g, p)),
                                               label="primitive"))
+        assert p.role == roles_from_components(p)
         text = partition_to_json(p)
         assert partition_to_json(partition_from_json(g.n, text)) == text
 
@@ -93,15 +105,17 @@ def test_json_round_trip_under_random_primitives(data):
 def test_copy_is_independent():
     p = PathPartition.from_lists(4, paths=[[0, 1, 2, 3]])
     q = p.copy()
-    assert q.owner is not p.owner and q.pos is not p.pos
+    assert q.owner is not p.owner and q.pos is not p.pos and q.role is not p.role
     assert q.kind_counts is not p.kind_counts
     q.set_kind(q.owner[0], "cycle")
     assert p.potential() == (1, 0, 0) and q.potential() == (1, -1, 0)
+    assert p.role == [END, INNER, INNER, END] and q.role == [ON_CYCLE] * 4
     q.remove(q.owner[0])
     q.add(Component("singleton", [3]))
     assert p.component_count() == 1 and q.component_count() == 1
     assert p.owner == [0, 0, 0, 0] and p.pos == [0, 1, 2, 3]
     assert q.owner == [None, None, None, 1] and q.pos == [None, None, None, 0]
+    assert p.role == [END, INNER, INNER, END] and q.role == [None, None, None, ALONE]
     assert p.potential() == (1, 0, 0) and q.potential() == (1, 0, 1)
 
 
@@ -118,3 +132,4 @@ def test_vertices_outside_the_graph_are_reported_not_raised(lists, violations):
     g = complete_graph(3)
     for p in (PathPartition.from_lists(3, **lists), partition_from_json(3, json.dumps(lists))):
         assert validate_partition(g, p) == (False, violations)
+        assert p.role == roles_from_components(p)

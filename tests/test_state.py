@@ -1,15 +1,19 @@
 """Property tests: the solver's incremental SolveState against from-scratch
 classification and the full basic-move scan, under random legal primitives."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from pathpart import moves
 from pathpart.classify import CrossCycleError, classify_edges, classify_vertices
-from pathpart.partition import CYCLE, SINGLETON, validate_partition
+from pathpart.graphs import gen_disjoint_cliques
+from pathpart.partition import CYCLE, SINGLETON, PathPartition, validate_partition
 from pathpart.solver import SolveState, initial_partition
 
-from conftest import draw_start, legal_primitives, regular_graph, step_for
+from conftest import (draw_start, legal_primitives, regular_graph, roles_from_components,
+                      step_for)
 
 
 def _fresh(g, p):
@@ -39,12 +43,38 @@ def test_state_tracks_random_primitives(data):
         prim = data.draw(st.sampled_from(legal_primitives(g, p)), label="primitive")
         assert state.apply(moves.Move("random", [step_for(p, prim)])) == [prim]
         assert validate_partition(g, p)[0]
+        assert p.role == roles_from_components(p)
         assert p.potential() == _recount(p)
         # reading only now and then lets the dirty region build up over steps
         if data.draw(st.booleans(), label="read classification"):
             assert _incremental(state) == _fresh(g, p)
         assert moves.find_basic_move(g, p, state) == moves.find_basic_move(g, p)
     assert _incremental(state) == _fresh(g, p)
+
+
+@given(st.data())
+def test_join_heap_holds_only_edges_between_components(data):
+    # the heap is validated lazily, so an entry may go stale after its push;
+    # what each push adds must join two components
+    g, p = draw_start(data)
+    state = SolveState(g, p)
+    assert sorted(state.joins) == [i for i, e in enumerate(g.edges) if moves.joinable(p, *e)]
+    for _ in range(data.draw(st.integers(1, 30), label="steps")):
+        before = Counter(state.joins)
+        prim = data.draw(st.sampled_from(legal_primitives(g, p)), label="primitive")
+        state.apply(moves.Move("random", [step_for(p, prim)]))
+        pushed = [g.edges[i] for i in Counter(state.joins) - before]
+        assert all(p.owner[u] != p.owner[v] for u, v in pushed)
+
+
+def test_closing_a_clique_pushes_no_chord():
+    g = gen_disjoint_cliques(6, 2, seed=0)  # two K7s
+    comps = sorted({tuple(sorted((v, *g.adj[v]))) for v in range(g.n)})
+    p = PathPartition.from_lists(g.n, paths=[list(c) for c in comps])
+    state = SolveState(g, p)
+    assert state.joins == []
+    state.apply(moves.Move("basic", [("close_of", (comps[0][0],))]))
+    assert state.joins == []
 
 
 @pytest.mark.parametrize("n, d, seed, prims", [

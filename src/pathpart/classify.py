@@ -62,8 +62,12 @@ class VertexClassification:
     one path neighbor in V2. V5: the rest. A balanced edge is a free edge
     joining V2 to V1. Each V2 vertex has its balanced targets in `balanced`
     and those that are path ends in `balanced_path_ends`, both ascending;
-    only V2 vertices have entries in those dicts. `free_nbrs` lists each
-    vertex's free neighbours in ascending order.
+    only V2 vertices have entries in those dicts. A V2 vertex is moderate if
+    it has a balanced target that is a path end and at least two balanced
+    targets, and heavy if at least three of its balanced targets are path
+    ends. A V3 vertex is dangerous if one of its path neighbours is heavy and
+    the other moderate. `free_nbrs` lists each vertex's free neighbours in
+    ascending order.
     """
 
     cls: list[str]
@@ -100,68 +104,69 @@ def classify_vertices(g: Graph, p: PathPartition,
 def reclassify(g: Graph, p: PathPartition, vc: VertexClassification, dirty) -> None:
     """Bring `vc` up to date in place after the vertices in `dirty` changed
     component, kind, end status or free edges (`vc.free_nbrs` must be current
-    already); with every vertex dirty this classifies afresh.
+    already); `classify_vertices` runs it with every vertex dirty.
 
     Each layer reaches one hop further, and is redone only where its inputs
     changed. V1 status, kind and path neighbours change only at dirty vertices,
     and free edges only at edges with a dirty end. So V2 membership, the
     balanced targets and the heavy and moderate marks, which read a vertex's
     free neighbours and their V1 status and kind, can change only in `near`,
-    the dirty vertices and their graph neighbours. The class reads a vertex's
-    own V1 status and V2 membership and its path neighbours' V2 membership, and
-    dangerous its class and its path neighbours' heavy and moderate marks. Both
-    therefore change only at a dirty vertex, at a `near` vertex whose V2
-    membership or marks flipped, or at a path neighbour of a flipped one; path
-    adjacency is symmetric, so the flipped vertices' path neighbours in the
-    current partition are exactly the vertices that read them.
+    the dirty vertices and their graph neighbours; one loop over `near` redoes
+    them and notes the vertices where any of the three flipped. The class
+    reads a vertex's own V1 status and V2 membership and its path neighbours'
+    V2 membership, and dangerous its class and its path neighbours' heavy and
+    moderate marks. Both therefore change only at a dirty vertex, at a flipped
+    vertex, or at a path neighbour of a flipped one; path adjacency is
+    symmetric, so the flipped vertices' path neighbours in the current
+    partition are exactly the vertices that read them. A second loop redoes
+    both there, reading an interior vertex's two path neighbours from its
+    component's vertex list.
     """
-    if len(dirty) == g.n:
+    full = len(dirty) == g.n
+    near = dirty
+    if not full:
+        near = set(dirty)
         for v in dirty:
-            _balance(p, vc, v)
-        region = dirty
-    else:
-        near = {w for v in dirty for w in (v, *g.adj[v])}
-        flipped = [v for v in near if _balance(p, vc, v)]
-        region = dirty.union(flipped, [w for v in flipped for w in p.path_neighbors(v)])
-    v2 = vc.balanced_path_ends  # keyed by exactly the V2 vertices
-    role = p.role
-    for v in region:
-        if role[v] != INNER:
-            vc.cls[v] = V1
+            near.update(g.adj[v])
+    role, free_nbrs = p.role, vc.free_nbrs
+    balanced, v2, moderate, heavy = vc.balanced, vc.balanced_path_ends, vc.moderate, vc.heavy
+    flipped = []
+    for v in near:
+        # free_nbrs[v] ascends, so the targets and their path ends do too
+        targets = [w for w in free_nbrs[v] if role[w] != INNER] if role[v] == INNER else ()
+        if not targets:
+            if v in balanced:  # no longer V2, so neither moderate nor heavy
+                del balanced[v], v2[v]
+                moderate.discard(v)
+                heavy.discard(v)
+                flipped.append(v)
             continue
-        nb2 = sum(1 for w in p.path_neighbors(v) if w in v2)
-        vc.cls[v] = (V2B if nb2 else V2A) if v in v2 else (V5, V4, V3)[nb2]
+        ends = [w for w in targets if role[w] == END]
+        is_moderate = bool(ends) and len(targets) >= 2
+        is_heavy = len(ends) >= 3
+        if (v not in balanced or is_moderate != (v in moderate)
+                or is_heavy != (v in heavy)):
+            flipped.append(v)
+            (moderate.add if is_moderate else moderate.discard)(v)
+            (heavy.add if is_heavy else heavy.discard)(v)
+        balanced[v] = targets
+        v2[v] = ends
+    region = dirty if full else dirty.union(
+        flipped, [w for v in flipped for w in p.path_neighbors(v)])
+    cls, dangerous = vc.cls, vc.dangerous
+    comps, owner, pos = p.components, p.owner, p.pos
     for v in region:
         danger = False
-        if vc.cls[v] == V3:
-            a, b = p.path_neighbors(v)
-            danger = ((a in vc.heavy and b in vc.moderate)
-                      or (b in vc.heavy and a in vc.moderate))
-        (vc.dangerous.add if danger else vc.dangerous.discard)(v)
-
-
-def _balance(p: PathPartition, vc: VertexClassification, v: int) -> bool:
-    """Record v's balanced targets and its moderate and heavy marks; whether
-    its V2 membership or either mark changed."""
-    targets, ends = [], []
-    role = p.role
-    if role[v] == INNER:
-        for w in vc.free_nbrs[v]:  # ascending, so both lists are too
-            r = role[w]
-            if r != INNER:
-                targets.append(w)
-                if r == END:
-                    ends.append(w)
-    was_v2 = v in vc.balanced
-    if targets:
-        vc.balanced[v] = targets
-        vc.balanced_path_ends[v] = ends
-    elif was_v2:
-        del vc.balanced[v], vc.balanced_path_ends[v]
-    moderate = bool(ends) and len(targets) >= 2
-    heavy = len(ends) >= 3
-    flipped = (was_v2 != bool(targets) or moderate != (v in vc.moderate)
-               or heavy != (v in vc.heavy))
-    (vc.moderate.add if moderate else vc.moderate.discard)(v)
-    (vc.heavy.add if heavy else vc.heavy.discard)(v)
-    return flipped
+        if role[v] != INNER:
+            cls[v] = V1
+        else:
+            verts, i = comps[owner[v]].vertices, pos[v]
+            a, b = verts[i - 1], verts[i + 1]
+            if v in v2:
+                cls[v] = V2B if a in v2 or b in v2 else V2A
+            elif a in v2 and b in v2:
+                cls[v] = V3
+                danger = (a in heavy and b in moderate) or (b in heavy and a in moderate)
+            else:
+                cls[v] = V4 if a in v2 or b in v2 else V5
+        (dangerous.add if danger else dangerous.discard)(v)

@@ -45,22 +45,25 @@ class Graph:
             if e in norm:
                 raise GraphError(f"duplicate edge {e}")
             norm.add(e)
-        self._fill(n, norm)
+        self._fill(n, norm, norm)
 
     @classmethod
-    def _from_checked(cls, n: int, edgeset: set[tuple[int, int]]) -> Graph:
+    def _from_checked(cls, n: int, edges: list[tuple[int, int]],
+                      edgeset: set[tuple[int, int]]) -> Graph:
         """The graph on edges that are already in range, (u, v) with u < v,
-        and distinct, as `read_edge_list` leaves them: no edge is checked
-        again. `edgeset` is kept, not copied."""
+        and distinct, as `read_edge_list` leaves them, in a list and as a set:
+        no edge is checked again. `edgeset` is kept, not copied."""
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
         g = cls.__new__(cls)
-        g._fill(n, edgeset)
+        g._fill(n, edges, edgeset)
         return g
 
-    def _fill(self, n: int, edgeset: set[tuple[int, int]]) -> None:
+    def _fill(self, n: int, edges, edgeset: set[tuple[int, int]]) -> None:
+        # sorting a list already in order, as a canonical file gives it, is
+        # one pass
         self.n = n
-        self.edges = tuple(sorted(edgeset))
+        self.edges = tuple(sorted(edges))
         self._edgeset = edgeset
         # scanning the sorted edges appends each vertex's smaller neighbours,
         # then its larger ones, all ascending
@@ -210,6 +213,7 @@ def read_edge_list(text: str | bytes) -> Graph:
     n, m = read_header(text)
     lines = text.splitlines()
     seen = set()
+    edges = []  # in file order
     row = 1
     for raw in lines[1:]:
         row += 1
@@ -230,9 +234,10 @@ def read_edge_list(text: str | bytes) -> Graph:
         if e in seen:
             raise EdgeListParseError(f"duplicate edge {e}", row)
         seen.add(e)
+        edges.append(e)
     if len(seen) != m:
         raise EdgeListParseError(f"header announced {m} edges, found {len(seen)}", row)
-    return Graph._from_checked(n, seen)
+    return Graph._from_checked(n, edges, seen)
 
 
 def write_edge_list(g: Graph) -> str:

@@ -66,9 +66,8 @@ def apply_primitive(g: Graph, p: PathPartition, prim: tuple) -> set[int]:
             raise MoveEngineError(f"split at non-consecutive pair ({a}, {b})")
         cut = max(i, j)
         verts = comp.vertices
-        p.remove(cid)
-        for piece in (verts[:cut], verts[cut:]):
-            p.add(Component(SINGLETON if len(piece) == 1 else PATH, piece))
+        p.replace([cid], [Component(SINGLETON if len(piece) == 1 else PATH, piece)
+                          for piece in (verts[:cut], verts[cut:])])
         return {a, b}
     if op == "join":
         _, u, v = prim
@@ -79,13 +78,13 @@ def apply_primitive(g: Graph, p: PathPartition, prim: tuple) -> set[int]:
             raise MoveEngineError(f"join inside one component ({u}, {v})")
         if not (p.is_end(u) and p.is_end(v) and g.has_edge(u, v)):
             raise MoveEngineError(f"illegal join ({u}, {v})")
-        a = p.remove(cu).vertices
-        b = p.remove(cv).vertices
+        a = p.components[cu].vertices
+        b = p.components[cv].vertices
         if a[-1] != u:
             a.reverse()
         if b[0] != v:
             b.reverse()
-        p.add(Component(PATH, a + b))
+        p.replace([cu, cv], [Component(PATH, a + b)])
         return {u, v}
     if op == "close":
         _, cid = prim
@@ -113,8 +112,7 @@ def apply_primitive(g: Graph, p: PathPartition, prim: tuple) -> set[int]:
             start = i
         else:
             raise MoveEngineError(f"open at non-cycle-edge ({a}, {b})")
-        p.remove(cid)
-        p.add(Component(PATH, [verts[(start + t) % k] for t in range(k)]))
+        p.replace([cid], [Component(PATH, verts[start:] + verts[:start])])
         return set(verts)
     raise MoveEngineError(f"unknown primitive {prim!r}")
 

@@ -43,8 +43,9 @@ class PathPartition:
     range first (`owner_of`), as a list reads -1 as the last vertex. `role[v]`
     is INNER, END, ON_CYCLE or ALONE, so whether v is a path end, a cycle
     vertex or a singleton is one list read. The path, cycle and singleton
-    counts follow every `add`, `remove` and `set_kind`, so `potential()` is
-    O(1). One owner mutates at a time; a copy is independent but costs O(n).
+    counts follow every `add`, `remove`, `replace` and `set_kind`, so
+    `potential()` is O(1). One owner mutates at a time; a copy is independent
+    but costs O(n).
     """
 
     def __init__(self, n: int):
@@ -95,6 +96,15 @@ class PathPartition:
         for v in comp.vertices:
             owner[v] = pos[v] = role[v] = None
         return comp
+
+    def replace(self, cids, comps) -> None:
+        """Drop the components `cids` and insert `comps`, which must cover
+        exactly their vertices, under fresh ids; each vertex is indexed once,
+        not cleared first as `remove` would."""
+        for cid in cids:
+            self.kind_counts[self.components.pop(cid).kind] -= 1
+        for comp in comps:
+            self.add(comp)
 
     def set_kind(self, cid: int, kind: str) -> None:
         """Change component cid's kind in place (a path closed into a cycle)."""

@@ -88,11 +88,12 @@ class SolveState:
     """The live partition's classification, basic-move candidates and
     derived-scan failures.
 
-    The classification is built from scratch once, the first time a step reads
-    it: before basic moves first run out, an edge may still join two cycles,
-    which classify_edges rejects. After that, each move marks the vertices it
+    The classification is built the first time a step reads it: before basic
+    moves first run out, an edge may still join two cycles, which
+    classify_edges rejects. After that, each move marks the vertices it
     touched dirty and the next read updates the free-neighbour lists of the
-    edges at them in place and reclassifies only the region around them.
+    edges at them in place and reclassifies only the region around them;
+    the first build is the same `reclassify` run over every vertex.
     Join candidates are a min-heap of edge indices and closure candidates a
     min-heap of path ids, validated lazily. The join heap starts with the
     joinable edges, found at the V1 vertices. A move pushes the joinable edges
@@ -132,11 +133,15 @@ class SolveState:
         return prims
 
     def _joins_at(self, vertices):
-        """The indices of the joinable edges at the given vertices."""
-        edges, p = self.g.edges, self.p
+        """The indices of the joinable edges at the given V1 vertices: those
+        whose far end is V1 in another component."""
+        edges, role, owner = self.g.edges, self.p.role, self.p.owner
         for v in vertices:
+            cid = owner[v]
             for i in self.incident[v]:
-                if moves.joinable(p, *edges[i]):
+                a, b = edges[i]
+                x = b if a == v else a
+                if role[x] != INNER and owner[x] != cid:
                     yield i
 
     def first_join(self) -> tuple[int, int] | None:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from pathpart import moves
+from pathpart.classify import V1, V2A, V2B, V3, V4, V5, VertexClassification
 from pathpart.graphs import Graph, gen_random_regular
 from pathpart.partition import (ALONE, CYCLE, END, INNER, ON_CYCLE, PATH, SINGLETON,
                                 PathPartition)
@@ -128,3 +129,54 @@ def step_for(p: PathPartition, prim: tuple) -> tuple:
     if op == "close":
         return ("close_of", (p.components[prim[1]].vertices[0],))
     return ("open_edge", prim[2:])
+
+
+def reference_classification(g: Graph, p: PathPartition):
+    """p's classification as the `VertexClassification` docstring defines
+    it, computed from the component lists alone; or, like `classify_edges`'
+    CrossCycleError, the first edge in edge order that joins two cycles."""
+    comp_of, kind = {}, {}
+    path_nbrs = {v: [] for v in range(g.n)}
+    path_ends, v1 = set(), set()
+    for cid, comp in p.components.items():
+        verts = comp.vertices
+        for v in verts:
+            comp_of[v], kind[v] = cid, comp.kind
+        if comp.kind == PATH:
+            path_ends |= {verts[0], verts[-1]}
+            for a, b in zip(verts, verts[1:]):
+                path_nbrs[a].append(b)
+                path_nbrs[b].append(a)
+        else:
+            v1.update(verts)
+    v1 |= path_ends
+    free = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        if kind[u] == kind[v] == CYCLE:
+            if comp_of[u] != comp_of[v]:
+                return (u, v)
+            continue  # a cycle edge or a chord
+        if v in path_nbrs[u]:
+            continue  # a path edge
+        free[u].append(v)
+        free[v].append(u)
+    free = [sorted(nbrs) for nbrs in free]
+    balanced = {v: [w for w in free[v] if w in v1]
+                for v in range(g.n) if v not in v1 and any(w in v1 for w in free[v])}
+    ends = {v: [w for w in targets if w in path_ends] for v, targets in balanced.items()}
+    moderate = {v for v in balanced if ends[v] and len(balanced[v]) >= 2}
+    heavy = {v for v in balanced if len(ends[v]) >= 3}
+    cls, dangerous = [], set()
+    for v in range(g.n):
+        nb2 = sum(w in balanced for w in path_nbrs[v])
+        if v in v1:
+            cls.append(V1)
+        elif v in balanced:
+            cls.append(V2B if nb2 else V2A)
+        else:
+            cls.append((V5, V4, V3)[nb2])
+        if cls[v] == V3:
+            a, b = path_nbrs[v]
+            if (a in heavy and b in moderate) or (b in heavy and a in moderate):
+                dangerous.add(v)
+    return VertexClassification(cls, free, balanced, ends, moderate, heavy, dangerous)

@@ -5,10 +5,10 @@ import pytest
 from pathpart.classify import (V1, V2A, V2B, V3, V4, V5, CrossCycleError,
                                classify_edges, classify_vertices)
 from pathpart.graphs import Graph, gen_disjoint_cliques, gen_random_regular
-from pathpart.partition import CYCLE, PATH, SINGLETON, PathPartition
+from pathpart.partition import PathPartition
 from pathpart.solver import solve
 
-from conftest import complete_graph
+from conftest import complete_graph, reference_classification
 
 
 def _chain(lo, hi):
@@ -73,42 +73,6 @@ def test_middle_vertex_v2a():
     assert vc.cls[1] == V2A
 
 
-def _naive_classes(g, p):
-    """Direct per-definition reclassification, kept independent of the scanner."""
-    kinds = {v: p.components[p.owner[v]].kind for v in range(g.n)}
-    in_v1 = set()
-    for cid, comp in p.components.items():
-        if comp.kind == CYCLE or comp.kind == SINGLETON:
-            in_v1.update(comp.vertices)
-        else:
-            in_v1.update((comp.vertices[0], comp.vertices[-1]))
-    def free(u, v):
-        if p.owner[u] == p.owner[v] and kinds[u] == CYCLE:
-            return False
-        return not p.part_adjacent(u, v)
-    out = []
-    for v in range(g.n):
-        if v in in_v1:
-            out.append(V1)
-            continue
-        frees = [w for w in g.adj[v] if free(v, w)]
-        v2 = any(w in in_v1 for w in frees)
-        nb_v2 = 0
-        for w in p.path_neighbors(v):
-            w_frees = [x for x in g.adj[w] if free(w, x)]
-            if w not in in_v1 and any(x in in_v1 for x in w_frees):
-                nb_v2 += 1
-        if v2:
-            out.append(V2B if nb_v2 >= 1 else V2A)
-        elif nb_v2 == 2:
-            out.append(V3)
-        elif nb_v2 == 1:
-            out.append(V4)
-        else:
-            out.append(V5)
-    return out
-
-
 def test_ten_vertex_sequence_every_class_fires():
     # one path 0..9 plus free edges (1,9), (3,0), (7,0), (8,0)
     g = Graph(10, _chain(0, 9) + [(1, 9), (3, 0), (7, 0), (8, 0)])
@@ -116,7 +80,7 @@ def test_ten_vertex_sequence_every_class_fires():
     vc = classify_vertices(g, p, classify_edges(g, p))
     expected = [V1, V2A, V3, V2A, V4, V5, V4, V2B, V2B, V1]
     assert vc.cls == expected
-    assert _naive_classes(g, p) == expected
+    assert reference_classification(g, p).cls == expected
 
 
 def test_balanced_targets_and_flags():
@@ -151,6 +115,7 @@ def test_classes_partition_and_invariants_on_solved_instances():
         report = solve(g, seed=seed)
         p = report.partition
         vc = classify_vertices(g, p, classify_edges(g, p))
+        assert vc == reference_classification(g, p)
         assert all(c in (V1, V2A, V2B, V3, V4, V5) for c in vc.cls)
         assert vc.heavy <= vc.moderate
         v1set = {v for v in range(n) if vc.cls[v] == V1}

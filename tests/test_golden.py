@@ -1,17 +1,19 @@
-"""Golden outputs: a perturbed-clique solve whose move trace and JSON report
-must stay byte-identical across refactors of the move layer, and the
-discharge outputs (a failing certificate, a D5 solve, an audit) that must
-stay byte-identical across changes to the ledger's arithmetic."""
+"""Golden outputs: a perturbed-clique solve and a long-path solve whose move
+traces and JSON reports must stay byte-identical across refactors of the move
+layer, and the discharge outputs (a failing certificate, a D5 solve, an audit)
+that must stay byte-identical across changes to the ledger's arithmetic."""
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
 from pathpart import moves
 from pathpart.cli import main
 from pathpart.discharge import RULES_D6
-from pathpart.graphs import Graph, contains_k6, gen_disjoint_cliques, write_edge_list
+from pathpart.graphs import (Graph, contains_k6, gen_circulant, gen_disjoint_cliques,
+                             write_edge_list)
 from pathpart.partition import PathPartition
 from pathpart.solver import SolveState, _next_move, initial_partition, solve
 
@@ -49,6 +51,26 @@ def test_perturbed_clique_trace_and_report_are_golden(tmp_path):
     assert {"derived", "pair"} <= kinds
     assert _sha256(trace) == TRACE_SHA256
     assert _sha256(out) == JSON_SHA256
+
+
+# 60 switches on the circulant C600(1, 2, 3) leave long paths that the solve
+# splits, joins, closes and reopens
+LONG_TRACE_SHA256 = "86cf84dfee7d08faeeb41a1884a33c6481e977ff6bb3c55d77aac56daac0983d"
+LONG_JSON_SHA256 = "980d7366ee2e73d8a3837a8499bf4b01fcaf74c0b846c850ca0660586c927dbf"
+
+
+def test_long_path_trace_and_report_are_golden(tmp_path):
+    inst = tmp_path / "g.txt"
+    inst.write_text(write_edge_list(switched(gen_circulant(600, [1, 2, 3]), 60, seed=1)))
+    trace, out = tmp_path / "trace.jsonl", tmp_path / "solve.json"
+    assert main(["solve", str(inst), "--json", "--trace", str(trace), "-o", str(out)]) == 0
+    steps = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert Counter(s["move_kind"] for s in steps) == {
+        "basic": 25, "singleton": 17, "derived": 41, "pair": 2}
+    prims = Counter(prim[0] for s in steps for prim in s["primitives"])
+    assert prims["close"] == prims["open"] == 17
+    assert _sha256(trace) == LONG_TRACE_SHA256
+    assert _sha256(out) == LONG_JSON_SHA256
 
 
 def test_a_solve_copies_the_partition_once(monkeypatch):

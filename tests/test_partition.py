@@ -119,6 +119,30 @@ def test_copy_is_independent():
     assert p.potential() == (1, 0, 0) and q.potential() == (1, 0, 1)
 
 
+def test_replace_indexes_the_new_components_under_fresh_ids():
+    g = complete_graph(6)
+    p = PathPartition.from_lists(6, paths=[[0, 1, 2], [3, 4]], singletons=[5])
+    new = [Component("path", [5, 2, 1]), Component("singleton", [0])]
+    p.replace([0, 2], new)
+    assert sorted(p.components) == [1, 3, 4]
+    assert validate_partition(g, p) == (True, [])
+    assert p.owner == [4, 3, 3, 1, 1, 3] and p.pos == [0, 2, 1, 0, 1, 0]
+    assert p.role == [ALONE, END, INNER, END, END, END]
+    assert p.potential() == (3, 0, 1)
+
+
+def test_primitives_build_without_clearing(monkeypatch):
+    # split, join and open index only the components they create
+    g = complete_graph(5)
+    p = PathPartition.from_lists(5, paths=[[0, 1, 2], [3, 4]])
+    monkeypatch.setattr(PathPartition, "remove", None)
+    for prim in [("join", 2, 3), ("close", 2), ("open", 2, 1, 2), ("split", 3, 0, 4)]:
+        moves.apply_primitive(g, p, prim)
+        assert validate_partition(g, p) == (True, [])
+        assert p.role == roles_from_components(p)
+    assert sorted(c.vertices for c in p.components.values()) == [[0, 1], [2, 3, 4]]
+
+
 @pytest.mark.parametrize("lists, violations", [
     ({"paths": [[0, 1, 5]], "singletons": [2]},
      ["component 0: vertex 5 out of range", "component 0: missing edge (1, 5)"]),

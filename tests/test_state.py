@@ -1,5 +1,6 @@
 """Property tests: the solver's incremental SolveState against from-scratch
-classification and the full basic-move scan, under random legal primitives."""
+classification, a reference classifier written from the definitions, and the
+full basic-move scan, under random legal primitives."""
 
 from collections import Counter
 
@@ -12,8 +13,8 @@ from pathpart.graphs import gen_disjoint_cliques
 from pathpart.partition import CYCLE, SINGLETON, PathPartition, validate_partition
 from pathpart.solver import SolveState, initial_partition
 
-from conftest import (draw_start, legal_primitives, regular_graph, roles_from_components,
-                      step_for)
+from conftest import (draw_start, legal_primitives, reference_classification, regular_graph,
+                      roles_from_components, step_for)
 
 
 def _fresh(g, p):
@@ -47,9 +48,9 @@ def test_state_tracks_random_primitives(data):
         assert p.potential() == _recount(p)
         # reading only now and then lets the dirty region build up over steps
         if data.draw(st.booleans(), label="read classification"):
-            assert _incremental(state) == _fresh(g, p)
+            assert _incremental(state) == _fresh(g, p) == reference_classification(g, p)
         assert moves.find_basic_move(g, p, state) == moves.find_basic_move(g, p)
-    assert _incremental(state) == _fresh(g, p)
+    assert _incremental(state) == _fresh(g, p) == reference_classification(g, p)
 
 
 @given(st.data())
@@ -89,7 +90,7 @@ def test_state_follows_a_mark_that_flips_without_v2_membership(n, d, seed, prims
     g = regular_graph(n, d, seed)
     p = initial_partition(g, seed=0)
     state = SolveState(g, p)
-    assert _incremental(state) == _fresh(g, p)
+    assert _incremental(state) == _fresh(g, p) == reference_classification(g, p)
     for prim in prims:
         state.apply(moves.Move("random", [step_for(p, prim)]))
-        assert _incremental(state) == _fresh(g, p)
+        assert _incremental(state) == _fresh(g, p) == reference_classification(g, p)

@@ -89,7 +89,7 @@ def _resolve_rules(g: Graph, args) -> RuleSet:
 
 
 def write_reproducer(out: str | Path, g: Graph, report: SolveReport) -> str:
-    """Write the graph, final partition, certificate and move trace to `out`."""
+    """Write the graph, final partition, certificate and `report.trace` to `out`."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "graph.txt").write_text(graphs.write_edge_list(g))
@@ -108,7 +108,7 @@ def _solve_input(args, record_trace: bool = False):
 
 
 def cmd_solve(args) -> int:
-    g, _, report = _solve_input(args, record_trace=args.trace is not None)
+    g, rules, report = _solve_input(args, record_trace=args.trace is not None)
     if args.trace:
         Path(args.trace).write_text("".join(json.dumps(t) + "\n" for t in report.trace))
     cert = report.certificate
@@ -118,6 +118,9 @@ def cmd_solve(args) -> int:
         _emit(args, f"components={report.component_count} "
                     f"cycles={report.cycle_count} verdict={cert.verdict}\n")
     if not cert.verdict:
+        if args.trace is None:
+            # the solve is deterministic, so a traced rerun records its moves
+            report = solve(g, seed=args.seed, rules=rules, record_trace=True)
         where = write_reproducer(args.bundle_dir or "reproducer", g, report)
         print(f"solve: certificate failed; reproducer bundle in {where}",
               file=sys.stderr)

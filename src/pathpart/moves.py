@@ -202,7 +202,7 @@ def find_basic_move(g: Graph, p: PathPartition, candidates=None) -> Move | None:
     else:
         edge = candidates.first_join()
     if edge is not None:
-        opens = [("open_at", (x,)) for x in edge if p.kind_of(x) == CYCLE]
+        opens = [("open_at", (x,)) for x in edge if p.role[x] == ON_CYCLE]
         return Move("basic", opens + [("join", edge)])
     if candidates is None:
         cid = next((c for c in p.sorted_ids() if closable(g, p, c)), None)

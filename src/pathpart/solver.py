@@ -94,23 +94,20 @@ class SolveState:
     touched dirty and the next read updates the free-neighbour lists of the
     edges at them in place and reclassifies only the region around them;
     the first build is the same `reclassify` run over every vertex.
-    Join candidates are a min-heap of edge indices and closure candidates a
-    min-heap of path ids, validated lazily. The join heap starts with the
-    joinable edges, found at the V1 vertices. A move pushes the joinable edges
-    at the V1 vertices of the components it touched, which hold every edge it
-    made joinable, and the id of each path it touched, so the first valid
-    entry is the one a scan of E or of the components would find. The
-    derived scan's failures are validated lazily the same way: each free edge
-    whose views found no move keeps the components its verdict read, and
-    `find_derived_move` skips it while they stand.
+    Every edge is named by its (u, v) pair, u < v, as in `g.edges`; pairs
+    sort in edge order. Join candidates are a min-heap of edges and closure
+    candidates a min-heap of path ids, validated lazily. The join heap starts
+    with the joinable edges, found at the V1 vertices. A move pushes the
+    joinable edges at the V1 vertices of the components it touched, which
+    hold every edge it made joinable, and the id of each path it touched, so
+    the first valid entry is the one a scan of E or of the components would
+    find. The derived scan's failures are validated lazily the same way: each
+    free edge whose views found no move keeps the components its verdict
+    read, and `find_derived_move` skips it while they stand.
     """
 
     def __init__(self, g: Graph, p: PathPartition):
         self.g, self.p = g, p
-        self.incident: list[list[int]] = [[] for _ in range(g.n)]
-        for i, (u, v) in enumerate(g.edges):
-            self.incident[u].append(i)
-            self.incident[v].append(i)
         # sorted, hence a heap
         self.joins = sorted(set(self._joins_at(v for v in range(g.n) if p.role[v] != INNER)))
         self.paths = sorted(cid for cid, c in p.components.items() if c.kind == PATH)
@@ -128,25 +125,23 @@ class SolveState:
             if comp.kind == PATH:
                 heapq.heappush(self.paths, cid)
                 joinable = (joinable[0], joinable[-1])
-            for i in self._joins_at(joinable):
-                heapq.heappush(self.joins, i)
+            for edge in self._joins_at(joinable):
+                heapq.heappush(self.joins, edge)
         return prims
 
     def _joins_at(self, vertices):
-        """The indices of the joinable edges at the given V1 vertices: those
+        """The joinable edges (u, v), u < v, at the given V1 vertices: those
         whose far end is V1 in another component."""
-        edges, role, owner = self.g.edges, self.p.role, self.p.owner
+        adj, role, owner = self.g.adj, self.p.role, self.p.owner
         for v in vertices:
             cid = owner[v]
-            for i in self.incident[v]:
-                a, b = edges[i]
-                x = b if a == v else a
+            for x in adj[v]:
                 if role[x] != INNER and owner[x] != cid:
-                    yield i
+                    yield (v, x) if v < x else (x, v)
 
     def first_join(self) -> tuple[int, int] | None:
         while self.joins:
-            edge = self.g.edges[self.joins[0]]
+            edge = self.joins[0]
             if moves.joinable(self.p, *edge):
                 return edge
             heapq.heappop(self.joins)
@@ -168,8 +163,8 @@ class SolveState:
         elif self.dirty:
             nbrs = self.vc.free_nbrs
             # in edge order, so a cross-cycle edge raised is the one classify_edges names
-            for i in sorted({i for v in self.dirty for i in self.incident[v]}):
-                u, v = g.edges[i]
+            for u, v in sorted({(a, b) if a < b else (b, a)
+                                for a in self.dirty for b in g.adj[a]}):
                 free = edge_is_free(p, u, v)
                 if free != (v in nbrs[u]):
                     if free:

@@ -85,6 +85,11 @@ def test_solve_certificate_failure_writes_reproducer(tmp_path):
     assert main(["solve", inst, "--rules", "d6", "--bundle-dir", str(bundle)]) == 1
     for name in ("graph.txt", "partition.json", "certificate.json", "moves.jsonl"):
         assert (bundle / name).exists()
+    # without --trace the bundle still holds the move trace --trace writes
+    trace = tmp_path / "trace.jsonl"
+    assert main(["solve", inst, "--rules", "d6", "--trace", str(trace),
+                 "--bundle-dir", str(tmp_path / "traced")]) == 1
+    assert trace.read_text() and (bundle / "moves.jsonl").read_bytes() == trace.read_bytes()
 
 
 def test_solve_output_deterministic(tmp_path):

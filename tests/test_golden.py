@@ -1,7 +1,8 @@
-"""Golden outputs: a perturbed-clique solve and a long-path solve whose move
-traces and JSON reports must stay byte-identical across refactors of the move
-layer, and the discharge outputs (a failing certificate, a D5 solve, an audit)
-that must stay byte-identical across changes to the ledger's arithmetic."""
+"""Golden outputs: a perturbed-clique solve, a long-path solve and a solve
+with a random-regular move mix, whose move traces and JSON reports must stay
+byte-identical across refactors of the move layer, and the discharge outputs
+(a failing certificate, a D5 solve, an audit) that must stay byte-identical
+across changes to the ledger's arithmetic."""
 
 import hashlib
 import json
@@ -71,6 +72,24 @@ def test_long_path_trace_and_report_are_golden(tmp_path):
     assert prims["close"] == prims["open"] == 17
     assert _sha256(trace) == LONG_TRACE_SHA256
     assert _sha256(out) == LONG_JSON_SHA256
+
+
+# 600 switches on the circulant C1000(1, 2, 3): a move mix close to one
+# random-regular input's, from a graph built without NumPy
+MIXED_TRACE_SHA256 = "79246387a26add5d9528419775179dad50b7b290aec3096c9ee9a5404f70a95b"
+MIXED_JSON_SHA256 = "ced7308c0c5802263470646c21e1f0dddd7920d3b258d7a754d344575325054d"
+
+
+def test_random_like_trace_and_report_are_golden(tmp_path):
+    inst = tmp_path / "g.txt"
+    inst.write_text(write_edge_list(switched(gen_circulant(1000, [1, 2, 3]), 600, seed=2)))
+    trace, out = tmp_path / "trace.jsonl", tmp_path / "solve.json"
+    assert main(["solve", str(inst), "--json", "--trace", str(trace), "-o", str(out)]) == 0
+    steps = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert Counter(s["move_kind"] for s in steps) == {
+        "basic": 35, "singleton": 48, "derived": 68}
+    assert _sha256(trace) == MIXED_TRACE_SHA256
+    assert _sha256(out) == MIXED_JSON_SHA256
 
 
 def test_a_solve_copies_the_partition_once(monkeypatch):

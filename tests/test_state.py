@@ -56,16 +56,17 @@ def test_state_tracks_random_primitives(data):
 @given(st.data())
 def test_join_heap_holds_only_edges_between_components(data):
     # the heap is validated lazily, so an entry may go stale after its push;
-    # what each push adds must join two components
+    # what each push adds must join two components, and every entry must be
+    # an edge of g as g.edges names it, (u, v) with u < v
     g, p = draw_start(data)
     state = SolveState(g, p)
-    assert sorted(state.joins) == [i for i, e in enumerate(g.edges) if moves.joinable(p, *e)]
+    assert sorted(state.joins) == [e for e in g.edges if moves.joinable(p, *e)]
     for _ in range(data.draw(st.integers(1, 30), label="steps")):
         before = Counter(state.joins)
         prim = data.draw(st.sampled_from(legal_primitives(g, p)), label="primitive")
         state.apply(moves.Move("random", [step_for(p, prim)]))
-        pushed = [g.edges[i] for i in Counter(state.joins) - before]
-        assert all(p.owner[u] != p.owner[v] for u, v in pushed)
+        assert all(p.owner[u] != p.owner[v] for u, v in Counter(state.joins) - before)
+    assert set(state.joins) <= set(g.edges)
 
 
 def test_closing_a_clique_pushes_no_chord():

@@ -1,7 +1,6 @@
 """Path partitions of regular graphs with exact-rational discharging certificates."""
 
-from .classify import (CrossCycleError, VertexClassification, classify_edges,
-                       classify_vertices)
+from .classify import VertexClassification, classify_edges, classify_vertices
 from .discharge import (RULES_D5, RULES_D6, AuditReport, Block, Certificate,
                         DischargeError, PointLedger, RuleSet, apply_rules,
                         audit_block_bounds, certify, decompose_blocks,

@@ -17,33 +17,19 @@ V5 = "V5"
 V2_CLASSES = (V2A, V2B)
 
 
-class CrossCycleError(ValueError):
-    """An edge joins two distinct cycle components; the partition is not canonical yet."""
-
-    def __init__(self, edge: tuple[int, int]):
-        super().__init__(f"edge {edge} joins two different cycle components")
-        self.edge = edge
-
-
 def edge_is_free(p: PathPartition, u: int, v: int) -> bool:
-    """Whether (u, v) is free: neither a partition edge of a path nor inside one
-    cycle (chords included). CrossCycleError if it joins two distinct cycles."""
-    role, owner = p.role, p.owner
-    if role[u] == ON_CYCLE and role[v] == ON_CYCLE:
-        if owner[u] == owner[v]:
-            return False
-        raise CrossCycleError((u, v))
-    # a path edge joins consecutive vertices of one path; any other edge is free
-    return owner[u] != owner[v] or abs(p.pos[u] - p.pos[v]) != 1
+    """Whether (u, v) is free: neither a partition edge of a path nor an edge
+    between two vertices of one cycle (chords included). An edge between two
+    different cycles is free."""
+    if p.owner[u] != p.owner[v]:
+        return True
+    # inside one component: every edge of a cycle is used, and of a path only
+    # those joining consecutive vertices
+    return p.role[u] != ON_CYCLE and abs(p.pos[u] - p.pos[v]) != 1
 
 
 def classify_edges(g: Graph, p: PathPartition) -> list[list[int]]:
-    """Each vertex's free neighbours, ascending.
-
-    Requires no edge between two distinct cycle components (run the solver's
-    basic moves first), otherwise CrossCycleError carries the first such edge
-    in edge order.
-    """
+    """Each vertex's free neighbours, ascending."""
     free_nbrs: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in g.edges:
         if edge_is_free(p, u, v):

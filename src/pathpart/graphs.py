@@ -27,10 +27,11 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1, immutable after construction.
 
     Safe to share across threads. `edges` is the sorted tuple of (u, v) pairs
-    with u < v; `adj` holds one sorted neighbor tuple per vertex.
+    with u < v; `adj` holds one sorted neighbor tuple per vertex, which
+    `has_edge` also reads.
     """
 
-    __slots__ = ("n", "edges", "adj", "_edgeset")
+    __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -45,26 +46,24 @@ class Graph:
             if e in norm:
                 raise GraphError(f"duplicate edge {e}")
             norm.add(e)
-        self._fill(n, norm, norm)
+        self._fill(n, norm)
 
     @classmethod
-    def _from_checked(cls, n: int, edges: list[tuple[int, int]],
-                      edgeset: set[tuple[int, int]]) -> Graph:
+    def _from_checked(cls, n: int, edges: list[tuple[int, int]]) -> Graph:
         """The graph on edges that are already in range, (u, v) with u < v,
-        and distinct, as `read_edge_list` leaves them, in a list and as a set:
-        no edge is checked again. `edgeset` is kept, not copied."""
+        and distinct, as `read_edge_list` leaves them: no edge is checked
+        again."""
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
         g = cls.__new__(cls)
-        g._fill(n, edges, edgeset)
+        g._fill(n, edges)
         return g
 
-    def _fill(self, n: int, edges, edgeset: set[tuple[int, int]]) -> None:
+    def _fill(self, n: int, edges) -> None:
         # sorting a list already in order, as a canonical file gives it, is
         # one pass
         self.n = n
         self.edges = tuple(sorted(edges))
-        self._edgeset = edgeset
         # scanning the sorted edges appends each vertex's smaller neighbours,
         # then its larger ones, all ascending
         adj = [[] for _ in range(n)]
@@ -81,7 +80,8 @@ class Graph:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._edgeset
+        """Whether (u, v) is an edge; False for a vertex outside 0..n-1."""
+        return 0 <= u < self.n and v in self.adj[u]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
@@ -209,7 +209,13 @@ def read_header(text: str) -> tuple[int, int]:
 def read_edge_list(text: str | bytes) -> Graph:
     """Parse "n m" header plus m "u v" lines (0-indexed); reject loops/dupes/bad ids."""
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            # the bytes before the bad one are ASCII; it sits on their last line
+            before = text[:exc.start].decode("ascii") + "."
+            raise EdgeListParseError(f"non-ASCII byte 0x{text[exc.start]:02x}",
+                                     len(before.splitlines())) from None
     n, m = read_header(text)
     lines = text.splitlines()
     seen = set()
@@ -237,7 +243,7 @@ def read_edge_list(text: str | bytes) -> Graph:
         edges.append(e)
     if len(seen) != m:
         raise EdgeListParseError(f"header announced {m} edges, found {len(seen)}", row)
-    return Graph._from_checked(n, edges, seen)
+    return Graph._from_checked(n, edges)
 
 
 def write_edge_list(g: Graph) -> str:

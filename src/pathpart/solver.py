@@ -5,12 +5,11 @@ from __future__ import annotations
 import heapq
 import random
 import time
-from bisect import insort
 from dataclasses import dataclass, field
 
 from . import moves
-from .classify import (CrossCycleError, VertexClassification, classify_edges,
-                       classify_vertices, edge_is_free, reclassify)
+from .classify import (VertexClassification, classify_edges, classify_vertices,
+                       edge_is_free, reclassify)
 from .discharge import (Certificate, PointLedger, RuleSet, apply_rules, certify,
                         ruleset_for_degree)
 from .graphs import Graph, infer_degree
@@ -88,12 +87,13 @@ class SolveState:
     """The live partition's classification, basic-move candidates and
     derived-scan failures.
 
-    The classification is built the first time a step reads it: before basic
-    moves first run out, an edge may still join two cycles, which
-    classify_edges rejects. After that, each move marks the vertices it
-    touched dirty and the next read updates the free-neighbour lists of the
-    edges at them in place and reclassifies only the region around them;
-    the first build is the same `reclassify` run over every vertex.
+    The classification is built the first time a step reads it, once basic
+    moves first run out. After that, each move marks the vertices it touched
+    dirty, and the next read rebuilds the free-neighbour list of each dirty
+    vertex and reclassifies only the region around them; the first build is
+    the same `reclassify` run over every vertex. A primitive changes whether
+    an edge is free only when both its ends are among the vertices it
+    touched, so a clean vertex's list stays right.
     Every edge is named by its (u, v) pair, u < v, as in `g.edges`; pairs
     sort in edge order. Join candidates are a min-heap of edges and closure
     candidates a min-heap of path ids, validated lazily. The join heap starts
@@ -155,24 +155,14 @@ class SolveState:
         return None
 
     def classification(self) -> VertexClassification:
-        """The live partition's classification; CrossCycleError while an edge
-        joins two cycles."""
+        """The live partition's classification."""
         g, p = self.g, self.p
         if self.vc is None:
             self.vc = classify_vertices(g, p, classify_edges(g, p))
         elif self.dirty:
             nbrs = self.vc.free_nbrs
-            # in edge order, so a cross-cycle edge raised is the one classify_edges names
-            for u, v in sorted({(a, b) if a < b else (b, a)
-                                for a in self.dirty for b in g.adj[a]}):
-                free = edge_is_free(p, u, v)
-                if free != (v in nbrs[u]):
-                    if free:
-                        insort(nbrs[u], v)
-                        insort(nbrs[v], u)
-                    else:
-                        nbrs[u].remove(v)
-                        nbrs[v].remove(u)
+            for v in self.dirty:
+                nbrs[v] = [w for w in g.adj[v] if edge_is_free(p, v, w)]
             reclassify(g, p, self.vc, self.dirty)
         self.dirty = set()
         return self.vc
@@ -186,22 +176,12 @@ class SolveState:
             raise moves.MoveEngineError("basic-move candidates diverged from a scan of E")
         if self.vc is None:
             return
-        fresh = _classified(lambda: classify_vertices(g, p, classify_edges(g, p)))
-        vc = _classified(self.classification)
-        if vc != fresh:
+        vc = self.classification()
+        if vc != classify_vertices(g, p, classify_edges(g, p)):
             raise moves.MoveEngineError("incremental classification diverged from scratch")
-        if (isinstance(vc, VertexClassification) and
-                moves.find_derived_move(g, p, vc, self.derived_failures)
+        if (moves.find_derived_move(g, p, vc, self.derived_failures)
                 != moves.find_derived_move(g, p, vc)):
             raise moves.MoveEngineError("derived-scan failures diverged from a full scan")
-
-
-def _classified(classify):
-    """What `classify()` yields: the classification, or the cross-cycle edge."""
-    try:
-        return classify()
-    except CrossCycleError as exc:
-        return exc.edge
 
 
 def _next_move(g: Graph, p: PathPartition, state: SolveState) -> moves.Move | None:

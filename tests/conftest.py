@@ -133,8 +133,9 @@ def step_for(p: PathPartition, prim: tuple) -> tuple:
 
 def reference_classification(g: Graph, p: PathPartition):
     """p's classification as the `VertexClassification` docstring defines
-    it, computed from the component lists alone; or, like `classify_edges`'
-    CrossCycleError, the first edge in edge order that joins two cycles."""
+    it, computed from the component lists alone. A free edge is one that is
+    neither a path edge nor joins two vertices of one cycle; an edge between
+    two different cycles is free."""
     comp_of, kind = {}, {}
     path_nbrs = {v: [] for v in range(g.n)}
     path_ends, v1 = set(), set()
@@ -152,9 +153,7 @@ def reference_classification(g: Graph, p: PathPartition):
     v1 |= path_ends
     free = [[] for _ in range(g.n)]
     for u, v in g.edges:
-        if kind[u] == kind[v] == CYCLE:
-            if comp_of[u] != comp_of[v]:
-                return (u, v)
+        if kind[u] == kind[v] == CYCLE and comp_of[u] == comp_of[v]:
             continue  # a cycle edge or a chord
         if v in path_nbrs[u]:
             continue  # a path edge

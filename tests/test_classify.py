@@ -1,12 +1,11 @@
 import itertools
 
-import pytest
-
-from pathpart.classify import (V1, V2A, V2B, V3, V4, V5, CrossCycleError,
-                               classify_edges, classify_vertices)
+from pathpart.classify import (V1, V2A, V2B, V3, V4, V5, classify_edges,
+                               classify_vertices)
 from pathpart.graphs import Graph, gen_disjoint_cliques, gen_random_regular
+from pathpart.moves import Move
 from pathpart.partition import PathPartition
-from pathpart.solver import solve
+from pathpart.solver import SolveState, solve
 
 from conftest import complete_graph, reference_classification
 
@@ -48,12 +47,20 @@ def test_k7_single_path_split():
     assert all(abs(u - v) > 1 for u, v in free)
 
 
-def test_cross_cycle_edge_rejected():
+def test_edge_between_two_cycles_is_free():
+    # a canonical partition has no such edge (a basic move merges the two
+    # cycles), so solves on random graphs seldom classify one
     g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3)])
     p = PathPartition.from_lists(6, cycles=[[0, 1, 2], [3, 4, 5]])
-    with pytest.raises(CrossCycleError) as err:
-        classify_edges(g, p)
-    assert err.value.edge == (0, 3)
+    assert list(_classified(g, p).free_edges()) == [(0, 3)]
+    # the same partition reached by closing two touching paths, one at a time
+    p = PathPartition.from_lists(6, paths=[[0, 1, 2], [3, 4, 5]])
+    state = SolveState(g, p)
+    assert state.classification() == _classified(g, p) == reference_classification(g, p)
+    for v in (0, 3):
+        state.apply(Move("basic", [("close_of", (v,))]))
+        assert state.classification() == _classified(g, p) == reference_classification(g, p)
+    assert p.cycle_count() == 2 and state.classification().free_nbrs[0] == [3]
 
 
 def test_all_cycles_partition_is_all_v1():

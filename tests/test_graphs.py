@@ -127,6 +127,15 @@ def test_read_edge_list_errors_carry_line_numbers():
         read_edge_list("3 2\n0 1\n")  # count mismatch
 
 
+def test_read_edge_list_rejects_non_ascii_bytes_with_their_line():
+    with pytest.raises(EdgeListParseError) as err:
+        read_edge_list(b"3 2\n\xff 1\n1 2\n")
+    assert err.value.line == 2
+    with pytest.raises(EdgeListParseError) as err:
+        read_edge_list(b"3 2\r\n0 1\r\n1 \xc3\xa9\n")
+    assert err.value.line == 3
+
+
 def test_contains_k6_on_k6():
     assert contains_k6(complete_graph(6)) == [0, 1, 2, 3, 4, 5]
 

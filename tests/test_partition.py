@@ -150,9 +150,15 @@ def test_primitives_build_without_clearing(monkeypatch):
      ["component 0: vertex -1 out of range", "component 0: missing edge (1, -1)"]),
     ({"paths": [[2, 0, 1]], "singletons": [-1]}, ["component 1: vertex -1 out of range"]),
     ({"singletons": [0, 1, 2, 3]}, ["component 3: vertex 3 out of range"]),
-], ids=["past-n", "negative-beside-last", "negative-singleton", "singleton-at-n"])
+    ({"paths": [[5, 0]], "singletons": [1, 2]},
+     ["component 0: vertex 5 out of range", "component 0: missing edge (5, 0)"]),
+    ({"paths": [[-1, 0]], "singletons": [1, 2]},
+     ["component 0: vertex -1 out of range", "component 0: missing edge (-1, 0)"]),
+], ids=["past-n", "negative-beside-last", "negative-singleton", "singleton-at-n",
+        "past-n-first", "negative-first"])
 def test_vertices_outside_the_graph_are_reported_not_raised(lists, violations):
-    # an index list would raise at n and read -1 as vertex 2
+    # an index list would raise at n and read -1 as vertex 2, which is
+    # adjacent to 0: `has_edge` reads a row of `adj` only for a vertex in range
     g = complete_graph(3)
     for p in (PathPartition.from_lists(3, **lists), partition_from_json(3, json.dumps(lists))):
         assert validate_partition(g, p) == (False, violations)

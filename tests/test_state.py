@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pathpart import moves
-from pathpart.classify import CrossCycleError, classify_edges, classify_vertices
+from pathpart.classify import classify_edges, classify_vertices, edge_is_free
 from pathpart.graphs import gen_disjoint_cliques
 from pathpart.partition import CYCLE, SINGLETON, PathPartition, validate_partition
 from pathpart.solver import SolveState, initial_partition
@@ -18,22 +18,12 @@ from conftest import (draw_start, legal_primitives, reference_classification, re
 
 
 def _fresh(g, p):
-    try:
-        return classify_vertices(g, p, classify_edges(g, p))
-    except CrossCycleError as exc:
-        return exc.edge
+    return classify_vertices(g, p, classify_edges(g, p))
 
 
 def _recount(p):
     kinds = [comp.kind for comp in p.components.values()]
     return (len(kinds), -kinds.count(CYCLE), kinds.count(SINGLETON))
-
-
-def _incremental(state):
-    try:
-        return state.classification()
-    except CrossCycleError as exc:
-        return exc.edge
 
 
 @given(st.data())
@@ -48,9 +38,23 @@ def test_state_tracks_random_primitives(data):
         assert p.potential() == _recount(p)
         # reading only now and then lets the dirty region build up over steps
         if data.draw(st.booleans(), label="read classification"):
-            assert _incremental(state) == _fresh(g, p) == reference_classification(g, p)
+            assert state.classification() == _fresh(g, p) == reference_classification(g, p)
         assert moves.find_basic_move(g, p, state) == moves.find_basic_move(g, p)
-    assert _incremental(state) == _fresh(g, p) == reference_classification(g, p)
+    assert state.classification() == _fresh(g, p) == reference_classification(g, p)
+
+
+@given(st.data())
+def test_free_status_changes_only_between_touched_vertices(data):
+    # the flush rebuilds only the touched vertices' free-neighbour lists,
+    # which is exact only if an edge with an untouched end keeps its status
+    g, p = draw_start(data)
+    free = [edge_is_free(p, u, v) for u, v in g.edges]
+    for _ in range(data.draw(st.integers(1, 30), label="steps")):
+        prim = data.draw(st.sampled_from(legal_primitives(g, p)), label="primitive")
+        touched = moves.apply_primitive(g, p, prim)
+        before, free = free, [edge_is_free(p, u, v) for u, v in g.edges]
+        assert all(u in touched and v in touched
+                   for (u, v), was, now in zip(g.edges, before, free) if was != now)
 
 
 @given(st.data())
@@ -91,7 +95,7 @@ def test_state_follows_a_mark_that_flips_without_v2_membership(n, d, seed, prims
     g = regular_graph(n, d, seed)
     p = initial_partition(g, seed=0)
     state = SolveState(g, p)
-    assert _incremental(state) == _fresh(g, p) == reference_classification(g, p)
+    assert state.classification() == _fresh(g, p) == reference_classification(g, p)
     for prim in prims:
         state.apply(moves.Move("random", [step_for(p, prim)]))
-        assert _incremental(state) == _fresh(g, p) == reference_classification(g, p)
+        assert state.classification() == _fresh(g, p) == reference_classification(g, p)

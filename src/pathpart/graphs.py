@@ -192,11 +192,29 @@ def gen_complete_bipartite(d: int) -> Graph:
     return Graph(2 * d, [(i, d + j) for i in range(d) for j in range(d)])
 
 
+def _ascii(text: str | bytes) -> str:
+    """text as an ASCII str. A non-ASCII character or byte raises
+    EdgeListParseError on its line, naming the first non-ASCII byte of the
+    UTF-8 form, so a file read as text or as bytes fails alike; `int` alone
+    would read a non-ASCII digit such as U+0661 as its value."""
+    if isinstance(text, str):
+        if text.isascii():
+            return text
+        text = text.encode("utf-8", "surrogatepass")
+    try:
+        return text.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one are ASCII; it sits on their last line
+        before = text[:exc.start].decode("ascii") + "."
+        raise EdgeListParseError(f"non-ASCII byte 0x{text[exc.start]:02x}",
+                                 len(before.splitlines())) from None
+
+
 def read_header(text: str) -> tuple[int, int]:
     """The "n m" header of an edge list, read before anything is built."""
     if not text:
         raise EdgeListParseError("missing header", 1)
-    first = (text.split("\n", 1)[0].splitlines() or [""])[0]
+    first = _ascii((text.split("\n", 1)[0].splitlines() or [""])[0])
     head = first.split()
     if len(head) != 2:
         raise EdgeListParseError(f"expected 'n m', got {first!r}", 1)
@@ -207,15 +225,9 @@ def read_header(text: str) -> tuple[int, int]:
 
 
 def read_edge_list(text: str | bytes) -> Graph:
-    """Parse "n m" header plus m "u v" lines (0-indexed); reject loops/dupes/bad ids."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("ascii")
-        except UnicodeDecodeError as exc:
-            # the bytes before the bad one are ASCII; it sits on their last line
-            before = text[:exc.start].decode("ascii") + "."
-            raise EdgeListParseError(f"non-ASCII byte 0x{text[exc.start]:02x}",
-                                     len(before.splitlines())) from None
+    """Parse "n m" header plus m "u v" lines (0-indexed); reject loops/dupes/bad
+    ids and any non-ASCII character."""
+    text = _ascii(text)
     n, m = read_header(text)
     lines = text.splitlines()
     seen = set()

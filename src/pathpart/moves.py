@@ -392,7 +392,7 @@ _OFF_PATH = (ON_CYCLE, ALONE)
 
 
 def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
-                      failures: dict | None = None) -> Move | None:
+                      failures: DerivedFailures | None = None) -> Move | None:
     """Split one or two paths around a free edge so that both new end-vertices
     are V2, then reconnect the pieces into fewer components (or equal
     components with one more cycle). Also covers the dangerous-vertex
@@ -413,28 +413,25 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
     t = o1 on x1's piece, and otherwise it lies outside both. Every branch
     needs an ox1 other than ox2 = t, or outside {o1, o2}, so none plans.
 
-    With `failures` (see solver.SolveState), a free edge that decided a
-    candidate by a view or by that rejection and found no move is recorded
-    with the components its verdict read, `_watches`, and skipped while each
-    is alive with the same kind; the scan still returns the first hit in
-    edge order.
+    With `failures`, a free edge that decided a candidate by a view or by
+    that rejection and found no move is recorded there, and skipped while
+    the record stands (see `DerivedFailures`); the scan still returns the
+    first hit in edge order.
     """
     cls = vc.cls
-    comps = p.components
     owner = p.owner
     role = p.role
     balanced = vc.balanced
+    if failures is not None:
+        failed, stamp = failures.failed, failures.stamp
     for a, nbrs in enumerate(vc.free_nbrs):
         if cls[a] in _NO_V2_NEIGHBOUR or role[a] in _OFF_PATH:
             continue
         for b in nbrs:
             if b <= a or cls[b] in _NO_V2_NEIGHBOUR or role[b] in _OFF_PATH:
                 continue
-            if failures is not None:
-                watches = failures.get((a, b))
-                if watches is not None and all(
-                        cid in comps and comps[cid].kind == kind for cid, kind in watches):
-                    continue
+            if failures is not None and failed.get((a, b)) == (stamp[a], stamp[b]):
+                continue
             same = owner[a] == owner[b]
             viewed = False
             for sa in p.path_neighbors(a):
@@ -461,23 +458,63 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
                                                 ("join", (a, b))] + steps)
             # an edge rejected before any candidate is cheaper to re-check than to watch
             if viewed and failures is not None:
-                failures[a, b] = _watches(g, p, a, b)
+                failures.record(g, p, a, b)
     steps = _find_dangerous_move(p, vc)
     return None if steps is None else Move("derived", steps)
 
 
-def _watches(g: Graph, p: PathPartition, a: int, b: int) -> list[tuple[int, str]]:
-    """(cid, kind) of every component the verdict on free edge (a, b) reads:
-    those of a and b, which hold the cuts, the pieces and the path neighbours,
-    and those of each path neighbour's graph neighbours, which decide its V2
+class DerivedFailures:
+    """The free edges whose derived candidates found no move, each kept until
+    a move retires a component its verdict read.
+
+    The verdict on free edge (a, b) reads the components in watch(a) ∪
+    watch(b), where watch(x) is x's own component and those of the graph
+    neighbours of x's path neighbours: the first holds the cuts, the pieces
+    and the path neighbours, the others decide each path neighbour's V2
     class, heavy mark and balanced targets and own the targets the
-    reconnection reads. A split, join or open makes a fresh id and a close
-    changes the kind, so while these all stand the verdict stands."""
-    cids = {p.owner[a], p.owner[b]}
-    for x in (a, b):
-        for s in p.path_neighbors(x):
-            cids.update(p.owner[w] for w in g.adj[s])
-    return [(cid, p.components[cid].kind) for cid in cids]
+    reconnection reads. While none of those components dies or changes kind,
+    x keeps its path neighbours and they keep their neighbours' components,
+    so watch(x) and the verdict stand.
+
+    A vertex's watch is registered once, in `watchers` (component id ->
+    (vertex, stamp) pairs), and stays until `retire` is given one of its
+    components; that drops it and bumps the vertex's `stamp`. A failed edge
+    keeps the stamps of its two ends, so it stands while
+    `failed[a, b] == (stamp[a], stamp[b])`. Whoever applies moves must call
+    `retire` with a superset of the components each move kills or re-kinds,
+    before building it (see solver.SolveState.apply).
+    """
+
+    def __init__(self, n: int):
+        self.failed: dict[tuple[int, int], tuple[int, int]] = {}
+        self.stamp = [0] * n
+        self.watched = [False] * n
+        self.watchers: dict[int, list[tuple[int, int]]] = {}
+
+    def record(self, g: Graph, p: PathPartition, a: int, b: int) -> None:
+        """Record that free edge (a, b), a < b, has no derived move on p."""
+        stamp, watched, watchers = self.stamp, self.watched, self.watchers
+        owner = p.owner
+        for x in (a, b):
+            if watched[x]:
+                continue
+            watched[x] = True
+            cids = {owner[x]}
+            for s in p.path_neighbors(x):
+                cids.update([owner[w] for w in g.adj[s]])
+            entry = (x, stamp[x])
+            for cid in cids:
+                watchers.setdefault(cid, []).append(entry)
+        self.failed[a, b] = (stamp[a], stamp[b])
+
+    def retire(self, cids) -> None:
+        """Drop every watch that reads one of the components `cids`."""
+        stamp, watched, watchers = self.stamp, self.watched, self.watchers
+        for cid in cids:
+            for x, s in watchers.pop(cid, ()):
+                if s == stamp[x]:
+                    stamp[x] = s + 1
+                    watched[x] = False
 
 
 def _find_dangerous_move(p, vc):

@@ -101,9 +101,13 @@ class SolveState:
     joinable edges at the V1 vertices of the components it touched, which
     hold every edge it made joinable, and the id of each path it touched, so
     the first valid entry is the one a scan of E or of the components would
-    find. The derived scan's failures are validated lazily the same way: each
-    free edge whose views found no move keeps the components its verdict
-    read, and `find_derived_move` skips it while they stand.
+    find. The derived scan's failures are `moves.DerivedFailures` records,
+    each standing until a move retires a component its verdict read. Before
+    building a move, `apply` retires the component of every vertex its steps
+    name. That is a superset of the components the move kills or re-kinds:
+    every primitive acts on the component of a vertex it names, and a
+    component that stood before the move still holds the same vertices when
+    a step reaches it. While no watch is registered this is skipped.
     """
 
     def __init__(self, g: Graph, p: PathPartition):
@@ -113,10 +117,14 @@ class SolveState:
         self.paths = sorted(cid for cid, c in p.components.items() if c.kind == PATH)
         self.dirty: set[int] = set()
         self.vc: VertexClassification | None = None
-        self.derived_failures: dict[tuple[int, int], list[tuple[int, str]]] = {}
+        self.derived_failures = moves.DerivedFailures(g.n)
 
     def apply(self, mv: moves.Move) -> list[tuple]:
         """Build the move on the live partition; returns its primitives."""
+        failures = self.derived_failures
+        if failures.watchers:
+            owner = self.p.owner
+            failures.retire({owner[x] for _, args in mv.steps for x in args})
         prims, touched = moves.apply_move(self.g, self.p, mv)
         self.dirty |= touched
         for cid in {self.p.owner[v] for v in touched}:

@@ -286,6 +286,18 @@ def test_cli_on_malformed_input_ends_in_an_exit_code(tmp_path_factory, case):
             assert err.getvalue().startswith(f"{argv[0]}: ")
 
 
+@pytest.mark.parametrize("command", ["solve", "audit", "oracle"])
+@pytest.mark.parametrize("text, line", [
+    ("3 3\n0 \u0661\n1 2\n0 2\n", 2),  # K3 with vertex 1 as an Arabic-Indic digit
+    ("\u0661\u0660\u0660 3\n0 1\n1 2\n0 2\n", 1),  # a header int() reads as n = 100
+])
+def test_cli_refuses_non_ascii_digits(tmp_path, capsys, command, text, line):
+    path = tmp_path / "g.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"{command}: line {line}: non-ASCII byte 0xd9\n"
+
+
 HUGE_HEADER_LIMIT = 1536 * 2**20  # bytes of address space for the child
 
 

@@ -11,12 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from pathpart import moves
 from pathpart.classify import classify_edges, classify_vertices
-from pathpart.graphs import Graph, gen_disjoint_cliques
+from pathpart.graphs import Graph, gen_circulant, gen_disjoint_cliques
 from pathpart.moves import MoveEngineError, _Builder, _find_dangerous_move
 from pathpart.partition import CYCLE, PATH, SINGLETON, PathPartition
 from pathpart.solver import SolveState, canonicalize, initial_partition
 
-from conftest import draw_start, legal_primitives, step_for
+from conftest import draw_start, legal_primitives, step_for, switched
 
 
 def _other_end(p, cid, v):
@@ -198,6 +198,58 @@ def test_derived_failures_match_a_full_scan_under_random_primitives(data):
                 == moves.find_derived_move(g, p, vc))
 
 
+_apply_move = moves.apply_move  # the solves below run under a patched one
+
+
+def _build_checked(g, p, mv):
+    """Build mv on p, asserting that every component it removes, re-kinds or
+    rewrites was, before the move, the owner of a vertex its steps name:
+    the superset `SolveState.apply` retires from the failure records."""
+    before = {cid: (c.kind, list(c.vertices)) for cid, c in p.components.items()}
+    named = {p.owner[x] for _, args in mv.steps for x in args}
+    built = _apply_move(g, p, mv)
+    changed = {cid for cid, (kind, verts) in before.items()
+               if cid not in p.components
+               or (p.components[cid].kind, p.components[cid].vertices) != (kind, verts)}
+    assert changed <= named, (mv, changed - named)
+    return built
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_a_move_changes_only_components_its_steps_name(data):
+    if data.draw(st.booleans(), label="perturbed cliques"):
+        g, p = _draw_perturbed_cliques(data)
+    else:
+        g, p = draw_start(data)
+    for _ in range(data.draw(st.integers(0, 20), label="steps")):
+        prim = data.draw(st.sampled_from(legal_primitives(g, p)), label="primitive")
+        _build_checked(g, p, moves.Move("random", [step_for(p, prim)]))
+    compound = moves.find_compound_move(g, p, depth=2)
+    if compound is not None:
+        _build_checked(g, p.copy(), compound)
+    with mock.patch.object(moves, "apply_move", lambda g, p, mv: _build_checked(g, p, mv)):
+        canonicalize(g, p)
+
+
+def test_every_move_kind_changes_only_components_its_steps_name():
+    g = switched(gen_circulant(600, [1, 2, 3]), 60, seed=1)
+    kinds = []
+
+    def checked(g, p, mv):
+        kinds.append(mv.kind)
+        return _build_checked(g, p, mv)
+
+    with mock.patch.object(moves, "apply_move", checked):
+        canonicalize(g, initial_partition(g))
+    assert set(kinds) == {"basic", "singleton", "derived", "pair"}
+    # a compound move, found by the search from the greedy start
+    p = initial_partition(g)
+    compound = moves.find_compound_move(g, p, depth=2)
+    assert compound.kind == "compound"
+    _build_checked(g, p, compound)
+
+
 def _named_instance(paths=(), cycles=(), singletons=(), free=()):
     """The graph of the named components' edges plus the named free edges,
     its partition into those components, and the vertex of each name;
@@ -248,11 +300,11 @@ def test_one_shared_target_is_rejected_without_a_view(monkeypatch, paths, cycles
     # the view would plan nothing, so skipping it loses no move
     assert moves._plan_reconnection(moves._CutView(p, sa, a, sb, b), sa, sb, vc) is None
     views = _record_views(monkeypatch)
-    failures = {}
+    failures = moves.DerivedFailures(g.n)
     assert moves.find_derived_move(g, p, vc, failures) == _built_derived_move(g, p, vc)
     assert views == []
-    # the rejected edge is watched like an edge whose views all failed
-    assert (min(a, b), max(a, b)) in failures
+    # the rejected edge is recorded like an edge whose views all failed
+    assert failures.failed[min(a, b), max(a, b)] == (failures.stamp[a], failures.stamp[b])
 
 
 def test_a_second_target_keeps_the_candidate(monkeypatch):
@@ -266,3 +318,30 @@ def test_a_second_target_keeps_the_candidate(monkeypatch):
     assert mv == _built_derived_move(g, p, vc)
     assert mv.steps[3:] == [("attach", (sb, t)), ("attach", (sa, t2))]
     assert views == [(sa, a, sb, b)]
+
+
+def test_a_record_stands_until_a_move_retires_a_component_it_watches():
+    # (a, b) is recorded by the shared-target rejection; its verdict reads
+    # a's and b's paths and t's, not the closable path x-y-z
+    g, p, v = _named_instance(_APART + [["t", "w"], ["x", "y", "z"]],
+                              free=_SHARED_T + [("x", "z")])
+    a, b, t, x = (v[n] for n in ("a", "b", "t", "x"))
+    state = SolveState(g, p)
+    failures = state.derived_failures
+
+    def scan():
+        return moves.find_derived_move(g, p, state.classification(), failures)
+
+    def stands():
+        return failures.failed.get((a, b)) == (failures.stamp[a], failures.stamp[b])
+
+    assert scan() is None and stands()
+    recorded = failures.failed[a, b]
+    state.apply(moves.Move("basic", [("close_of", (x,))]))
+    assert stands()
+    assert scan() is None and failures.failed[a, b] == recorded
+    state.apply(moves.Move("random", [("split_at", (t, v["w"]))]))
+    assert not stands()
+    # the next scan decides (a, b) again and records it under the new stamps
+    assert scan() is None and stands()
+    assert failures.failed[a, b] != recorded

@@ -133,8 +133,9 @@ def test_check_refuses_failures_that_hide_a_derived_move():
     state.check()
     split_a, split_b, join = mv.steps[:3]
     assert (split_a[0], split_b[0], join[0]) == ("split_at", "split_at", "join")
-    # a recorded failure that watches no component always stands
-    state.derived_failures[join[1]] = []
+    # a failure recorded on the live partition stands until a move
+    # retires one of its components, so nothing re-decides this bogus one
+    state.derived_failures.record(g, state.p, *join[1])
     with pytest.raises(moves.MoveEngineError, match="derived"):
         state.check()
 

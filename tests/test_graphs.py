@@ -136,6 +136,20 @@ def test_read_edge_list_rejects_non_ascii_bytes_with_their_line():
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("text", ["3 3\n0 \u0661\n1 2\n0 2\n",
+                                  "\u0663 3\n0 1\n1 2\n0 2\n",
+                                  "3 3\n0 1\n\uff11 2\n0 2\n"])
+def test_read_edge_list_rejects_non_ascii_digits_in_text_as_in_bytes(text):
+    # int() reads these as ASCII digits, so only the ASCII check stops them
+    with pytest.raises(EdgeListParseError) as as_text:
+        read_edge_list(text)
+    with pytest.raises(EdgeListParseError) as as_bytes:
+        read_edge_list(text.encode())
+    assert str(as_text.value) == str(as_bytes.value)
+    assert as_text.value.line == as_bytes.value.line == text[:text.index(
+        next(c for c in text if not c.isascii()))].count("\n") + 1
+
+
 def test_contains_k6_on_k6():
     assert contains_k6(complete_graph(6)) == [0, 1, 2, 3, 4, 5]
 

@@ -6,10 +6,9 @@ from .discharge import (RULES_D5, RULES_D6, AuditReport, Block, Certificate,
                         audit_block_bounds, certify, decompose_blocks,
                         ruleset_for_degree)
 from .graphs import (EdgeListParseError, GenerationError, Graph, GraphError,
-                     RegularityReport, contains_k6, gen_circulant,
-                     gen_complete_bipartite, gen_disjoint_cliques,
-                     gen_random_regular, infer_degree, read_edge_list,
-                     validate_regular, write_edge_list)
+                     contains_k6, gen_circulant, gen_complete_bipartite,
+                     gen_disjoint_cliques, gen_random_regular, infer_degree,
+                     read_edge_list, write_edge_list)
 from .moves import (Move, MoveEngineError, SingletonEliminationError, apply_move,
                     eliminate_singletons, find_basic_move, find_compound_move,
                     find_derived_move, find_pair_move)

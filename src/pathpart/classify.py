@@ -87,10 +87,11 @@ def classify_vertices(g: Graph, p: PathPartition,
     return vc
 
 
-def reclassify(g: Graph, p: PathPartition, vc: VertexClassification, dirty) -> None:
+def reclassify(g: Graph, p: PathPartition, vc: VertexClassification, dirty):
     """Bring `vc` up to date in place after the vertices in `dirty` changed
     component, kind, end status or free edges (`vc.free_nbrs` must be current
-    already); `classify_vertices` runs it with every vertex dirty.
+    already); `classify_vertices` runs it with every vertex dirty. Returns
+    the region whose classes and dangerous marks it recomputed.
 
     Each layer reaches one hop further, and is redone only where its inputs
     changed. V1 status, kind and path neighbours change only at dirty vertices,
@@ -156,3 +157,4 @@ def reclassify(g: Graph, p: PathPartition, vc: VertexClassification, dirty) -> N
             else:
                 cls[v] = V4 if a in v2 or b in v2 else V5
         (dangerous.add if danger else dangerous.discard)(v)
+    return region

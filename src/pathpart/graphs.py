@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 
 
 class GraphError(ValueError):
@@ -91,20 +90,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-@dataclass
-class RegularityReport:
-    is_regular: bool
-    degree: int | None
-    offending_vertices: list[int] = field(default_factory=list)
-
-
-def validate_regular(g: Graph, d: int) -> RegularityReport:
-    """Report every vertex whose degree differs from d (empty list iff d-regular)."""
-    bad = [v for v in range(g.n) if g.degree(v) != d]
-    return RegularityReport(is_regular=not bad, degree=d if not bad else None,
-                            offending_vertices=bad)
 
 
 def infer_degree(g: Graph) -> int | None:

@@ -8,11 +8,12 @@ partition valid and strictly decrease the lexicographic potential
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 
-from .classify import V2A, V5, VertexClassification
+from .classify import V2_CLASSES, V2A, V5, VertexClassification
 from .graphs import Graph
 from .partition import (ALONE, CYCLE, END, INNER, ON_CYCLE, PATH, SINGLETON, Component,
                         PathPartition)
@@ -225,8 +226,8 @@ def _partition_signature(p: PathPartition) -> frozenset:
     return frozenset(out)
 
 
-def eliminate_singletons(g: Graph, p: PathPartition) -> Move | None:
-    """Absorb one singleton via the shift search.
+def eliminate_singletons(g: Graph, p: PathPartition, candidates=None) -> Move | None:
+    """Absorb the least singleton via the shift search.
 
     A singleton adjacent to an end, a cycle, or a splittable path interior is
     absorbed outright. Otherwise every neighbor is the middle of a size-3
@@ -236,10 +237,14 @@ def eliminate_singletons(g: Graph, p: PathPartition) -> Move | None:
     partition has no singleton. The states already queued are keyed by the
     shifted singleton and the partition's signature, which costs O(n) and is
     built, for the root too, only once a shift is needed.
+
+    Without `candidates` the least singleton is found by scanning the roles.
+    With them, `candidates.first_singleton()` must return the same vertex
+    (see solver.SolveState).
     """
     if not p.singleton_count():
         return None
-    v0 = p.role.index(ALONE)
+    v0 = p.role.index(ALONE) if candidates is None else candidates.first_singleton()
     queue = deque([(p, v0, [])])
     seen = None
     expanded = 0
@@ -398,9 +403,11 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
     components with one more cycle). Also covers the dangerous-vertex
     configurations whose balanced edges point the wrong way.
 
-    The free edges are walked vertex by vertex, so a vertex that cannot be
-    cut at (not on a path, or V2a/V5 with no V2 path neighbour) is passed
-    over with its whole neighbour list; the edge order is unchanged.
+    Vertex a owns the free edges (a, b) with b > a, and the scan walks each
+    owner's neighbour list in ascending order of owners, which is edge
+    order. An owner that cannot be cut at (not on a path, or with no V2 path
+    neighbour, as no V2a or V5 vertex has) is passed over with its whole
+    list.
 
     Each candidate is decided on a `_CutView` of the live partition; nothing
     is built. A candidate whose new ends sa and sb have one and the same
@@ -413,33 +420,41 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
     t = o1 on x1's piece, and otherwise it lies outside both. Every branch
     needs an ox1 other than ox2 = t, or outside {o1, o2}, so none plans.
 
-    With `failures`, a free edge that decided a candidate by a view or by
-    that rejection and found no move is recorded there, and skipped while
-    the record stands (see `DerivedFailures`); the scan still returns the
-    first hit in edge order.
+    Without `failures` the owners are every vertex. With them, they are the
+    vertices `failures` holds open, in ascending order, and a free edge with
+    a V2 cut pair at each end whose candidates found no move (by a view, by
+    that rejection, or because both cuts face outward on one path) is
+    recorded there and skipped while the record stands (see
+    `DerivedFailures`); the scan still returns the first hit in edge order.
     """
     cls = vc.cls
     owner = p.owner
     role = p.role
     balanced = vc.balanced
-    if failures is not None:
+    free_nbrs = vc.free_nbrs
+    if failures is None:
+        owners = range(g.n)
+    else:
         failed, stamp = failures.failed, failures.stamp
-    for a, nbrs in enumerate(vc.free_nbrs):
+        owners = failures.pop_open()
+    for a in owners:
         if cls[a] in _NO_V2_NEIGHBOUR or role[a] in _OFF_PATH:
             continue
-        for b in nbrs:
+        cuts_a = [s for s in p.path_neighbors(a) if cls[s] in V2_CLASSES]
+        if not cuts_a:
+            continue
+        for b in free_nbrs[a]:
             if b <= a or cls[b] in _NO_V2_NEIGHBOUR or role[b] in _OFF_PATH:
                 continue
             if failures is not None and failed.get((a, b)) == (stamp[a], stamp[b]):
                 continue
+            cuts_b = [s for s in p.path_neighbors(b) if cls[s] in V2_CLASSES]
+            # an edge with no V2 cut pair is cheaper to re-check than to watch
+            if not cuts_b:
+                continue
             same = owner[a] == owner[b]
-            viewed = False
-            for sa in p.path_neighbors(a):
-                if not vc.is_v2(sa):
-                    continue
-                for sb in p.path_neighbors(b):
-                    if not vc.is_v2(sb):
-                        continue
+            for sa in cuts_a:
+                for sb in cuts_b:
                     if same:
                         pa, pb = p.pos[a], p.pos[b]
                         lo_v, lo_p, hi_v, hi_p = (a, pa, b, pb) if pa < pb else (b, pb, a, pa)
@@ -448,7 +463,6 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
                         # both cuts facing outward would close the middle into a cycle
                         if p.pos[s_lo] < lo_p and p.pos[s_hi] > hi_p:
                             continue
-                    viewed = True
                     ta = balanced[sa]
                     if len(ta) == 1 and ta == balanced[sb]:
                         continue  # one shared target: no plan (see the docstring)
@@ -456,33 +470,47 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
                     if steps is not None:
                         return Move("derived", [("split_at", (sa, a)), ("split_at", (sb, b)),
                                                 ("join", (a, b))] + steps)
-            # an edge rejected before any candidate is cheaper to re-check than to watch
-            if viewed and failures is not None:
+            if failures is not None:
                 failures.record(g, p, a, b)
     steps = _find_dangerous_move(p, vc)
     return None if steps is None else Move("derived", steps)
 
 
 class DerivedFailures:
-    """The free edges whose derived candidates found no move, each kept until
-    a move retires a component its verdict read.
+    """The derived scan's memory between calls: the vertices whose free
+    edges may hold a move, and the free edges whose candidates found none.
 
-    The verdict on free edge (a, b) reads the components in watch(a) ∪
-    watch(b), where watch(x) is x's own component and those of the graph
-    neighbours of x's path neighbours: the first holds the cuts, the pieces
-    and the path neighbours, the others decide each path neighbour's V2
-    class, heavy mark and balanced targets and own the targets the
-    reconnection reads. While none of those components dies or changes kind,
-    x keeps its path neighbours and they keep their neighbours' components,
-    so watch(x) and the verdict stand.
+    **Failure records.** A free edge whose candidates found no move is kept
+    until a move retires a component its verdict read. The verdict on free
+    edge (a, b) reads the components in watch(a) ∪ watch(b), where watch(x)
+    is x's own component and those of the graph neighbours of x's path
+    neighbours: the first holds the cuts, the pieces, the path neighbours
+    and the positions that tell whether both cuts face outward, the others
+    decide each path neighbour's V2 class, heavy mark and balanced targets
+    and own the targets the reconnection reads. While none of those
+    components dies or changes kind, x keeps its path neighbours and they
+    keep their neighbours' components, so watch(x) and the verdict stand. A vertex's watch is registered once, in `watchers`
+    (component id -> (vertex, stamp) pairs), and stays until `retire` is
+    given one of its components; that drops it and bumps the vertex's
+    `stamp`. A failed edge keeps the stamps of its two ends, so it stands
+    while `failed[a, b] == (stamp[a], stamp[b])`. Whoever applies moves must
+    call `retire` with a superset of the components each move kills or
+    re-kinds, before building it (see solver.SolveState.apply).
 
-    A vertex's watch is registered once, in `watchers` (component id ->
-    (vertex, stamp) pairs), and stays until `retire` is given one of its
-    components; that drops it and bumps the vertex's `stamp`. A failed edge
-    keeps the stamps of its two ends, so it stands while
-    `failed[a, b] == (stamp[a], stamp[b])`. Whoever applies moves must call
-    `retire` with a superset of the components each move kills or re-kinds,
-    before building it (see solver.SolveState.apply).
+    **Open set.** Vertex a owns the free edges (a, b) with b > a. `heap` is
+    a min-heap of the open owners and `is_open[v]` marks them, so none is
+    pushed twice; every vertex starts open. `pop_open` yields them in
+    ascending order, and an owner the scan moves past closes: each of its
+    edges was decided by class or role, by a standing record, by having no
+    V2 cut pair at one end, or by candidates that found no move, which the
+    scan then records. The owner of a hit stays open. Whoever applies moves
+    must call `reopen`, once the classification is current, with the
+    vertices `reclassify` recomputed and those whose stamps `retire` bumped.
+    That covers every input of a closed owner's verdicts: class and role
+    change only in the first, and so do path neighbours and their V2 status;
+    a new free edge has both ends there; and a record falls only with a
+    bumped stamp. `reopen` also opens each free neighbour w < v of such a
+    vertex v, the owner of the edge (w, v).
     """
 
     def __init__(self, n: int):
@@ -490,6 +518,8 @@ class DerivedFailures:
         self.stamp = [0] * n
         self.watched = [False] * n
         self.watchers: dict[int, list[tuple[int, int]]] = {}
+        self.heap = list(range(n))  # sorted, hence a heap
+        self.is_open = [True] * n
 
     def record(self, g: Graph, p: PathPartition, a: int, b: int) -> None:
         """Record that free edge (a, b), a < b, has no derived move on p."""
@@ -507,14 +537,40 @@ class DerivedFailures:
                 watchers.setdefault(cid, []).append(entry)
         self.failed[a, b] = (stamp[a], stamp[b])
 
-    def retire(self, cids) -> None:
-        """Drop every watch that reads one of the components `cids`."""
+    def retire(self, cids) -> list[int]:
+        """Drop every watch that reads one of the components `cids`; returns
+        the vertices whose stamps this bumped."""
         stamp, watched, watchers = self.stamp, self.watched, self.watchers
+        bumped = []
         for cid in cids:
             for x, s in watchers.pop(cid, ()):
                 if s == stamp[x]:
                     stamp[x] = s + 1
                     watched[x] = False
+                    bumped.append(x)
+        return bumped
+
+    def pop_open(self):
+        """Yield the open vertices in ascending order, closing each once the
+        caller asks for the next; the last one yielded to a caller that
+        stops stays open."""
+        heap, is_open = self.heap, self.is_open
+        while heap:
+            v = heap[0]
+            yield v
+            heapq.heappop(heap)
+            is_open[v] = False
+
+    def reopen(self, vertices, free_nbrs: list[list[int]]) -> None:
+        """Open each vertex v given and each free neighbour w < v of it."""
+        heap, is_open = self.heap, self.is_open
+        for v in vertices:
+            for w in (v, *free_nbrs[v]):
+                if w > v:
+                    break
+                if not is_open[w]:
+                    is_open[w] = True
+                    heapq.heappush(heap, w)
 
 
 def _find_dangerous_move(p, vc):

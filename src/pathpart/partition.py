@@ -15,7 +15,6 @@ INNER = 0  # path interior
 END = 1  # path end-vertex
 ON_CYCLE = 2
 ALONE = 3  # singleton
-_ROLE_KIND = (PATH, PATH, CYCLE, SINGLETON)  # indexed by role
 _KIND_ROLE = {PATH: INNER, CYCLE: ON_CYCLE, SINGLETON: ALONE}  # a path's ends aside
 
 
@@ -154,9 +153,6 @@ class PathPartition:
         """Lexicographic solve objective: (components, -cycles, singletons)."""
         counts = self.kind_counts
         return (len(self.components), -counts[CYCLE], counts[SINGLETON])
-
-    def kind_of(self, v: int) -> str:
-        return _ROLE_KIND[self.role[v]]
 
     def is_end(self, v: int) -> bool:
         """v is joinable as-is: a path end-vertex or a singleton."""

@@ -13,7 +13,7 @@ from .classify import (VertexClassification, classify_edges, classify_vertices,
 from .discharge import (Certificate, PointLedger, RuleSet, apply_rules, certify,
                         ruleset_for_degree)
 from .graphs import Graph, infer_degree
-from .partition import INNER, PATH, PathPartition, validate_partition
+from .partition import ALONE, INNER, PATH, PathPartition, validate_partition
 
 
 def initial_partition(g: Graph, seed: int = 0) -> PathPartition:
@@ -84,8 +84,8 @@ class SolveReport:
 
 
 class SolveState:
-    """The live partition's classification, basic-move candidates and
-    derived-scan failures.
+    """The live partition's classification, basic-move and singleton
+    candidates, and derived-scan memory.
 
     The classification is built the first time a step reads it, once basic
     moves first run out. After that, each move marks the vertices it touched
@@ -95,27 +95,36 @@ class SolveState:
     an edge is free only when both its ends are among the vertices it
     touched, so a clean vertex's list stays right.
     Every edge is named by its (u, v) pair, u < v, as in `g.edges`; pairs
-    sort in edge order. Join candidates are a min-heap of edges and closure
-    candidates a min-heap of path ids, validated lazily. The join heap starts
-    with the joinable edges, found at the V1 vertices. A move pushes the
-    joinable edges at the V1 vertices of the components it touched, which
-    hold every edge it made joinable, and the id of each path it touched, so
-    the first valid entry is the one a scan of E or of the components would
-    find. The derived scan's failures are `moves.DerivedFailures` records,
-    each standing until a move retires a component its verdict read. Before
-    building a move, `apply` retires the component of every vertex its steps
-    name. That is a superset of the components the move kills or re-kinds:
-    every primitive acts on the component of a vertex it names, and a
-    component that stood before the move still holds the same vertices when
-    a step reaches it. While no watch is registered this is skipped.
+    sort in edge order. Join candidates are a min-heap of edges, closure
+    candidates a min-heap of path ids and singleton candidates a min-heap of
+    vertices, each validated lazily. The join heap starts with the joinable
+    edges, found at the V1 vertices. A move pushes the joinable edges at the
+    V1 vertices of the components it touched, which hold every edge it made
+    joinable, the id of each path it touched, and each touched vertex left
+    a singleton (only a split makes one, and the cut pair is touched), so the
+    first valid entry is the one a scan of E, of the components or of the
+    roles would find.
+    The derived scan's memory is a `moves.DerivedFailures`: failure records,
+    each standing until a move retires a component its verdict read, and the
+    open vertices, the only ones the scan walks. Before building a move,
+    `apply` retires the component of every vertex its steps name. That is a
+    superset of the components the move kills or re-kinds: every primitive
+    acts on the component of a vertex it names, and a component that stood
+    before the move still holds the same vertices when a step reaches it.
+    While no watch is registered this is skipped. The vertices whose stamps
+    it bumped wait in `bumped` for the next read, which re-opens them, the
+    region `reclassify` recomputed, and each free neighbour w < v of any of
+    them; every vertex starts open.
     """
 
     def __init__(self, g: Graph, p: PathPartition):
         self.g, self.p = g, p
-        # sorted, hence a heap
+        # sorted, hence heaps
         self.joins = sorted(set(self._joins_at(v for v in range(g.n) if p.role[v] != INNER)))
         self.paths = sorted(cid for cid, c in p.components.items() if c.kind == PATH)
+        self.singletons = [v for v in range(g.n) if p.role[v] == ALONE]
         self.dirty: set[int] = set()
+        self.bumped: set[int] = set()
         self.vc: VertexClassification | None = None
         self.derived_failures = moves.DerivedFailures(g.n)
 
@@ -124,9 +133,13 @@ class SolveState:
         failures = self.derived_failures
         if failures.watchers:
             owner = self.p.owner
-            failures.retire({owner[x] for _, args in mv.steps for x in args})
+            self.bumped.update(failures.retire({owner[x] for _, args in mv.steps for x in args}))
         prims, touched = moves.apply_move(self.g, self.p, mv)
         self.dirty |= touched
+        role = self.p.role
+        for v in touched:
+            if role[v] == ALONE:
+                heapq.heappush(self.singletons, v)
         for cid in {self.p.owner[v] for v in touched}:
             comp = self.p.components[cid]
             joinable = comp.vertices
@@ -162,6 +175,14 @@ class SolveState:
             heapq.heappop(self.paths)
         return None
 
+    def first_singleton(self) -> int | None:
+        role = self.p.role
+        while self.singletons:
+            if role[self.singletons[0]] == ALONE:
+                return self.singletons[0]
+            heapq.heappop(self.singletons)
+        return None
+
     def classification(self) -> VertexClassification:
         """The live partition's classification."""
         g, p = self.g, self.p
@@ -171,17 +192,21 @@ class SolveState:
             nbrs = self.vc.free_nbrs
             for v in self.dirty:
                 nbrs[v] = [w for w in g.adj[v] if edge_is_free(p, v, w)]
-            reclassify(g, p, self.vc, self.dirty)
+            region = reclassify(g, p, self.vc, self.dirty)
+            self.derived_failures.reopen(region.union(self.bumped), nbrs)
+            self.bumped = set()
         self.dirty = set()
         return self.vc
 
     def check(self) -> None:
-        """Raise MoveEngineError where the basic move or, once built, the
-        classification or the derived move differs from one computed from
-        scratch."""
+        """Raise MoveEngineError where the basic move, the least singleton or,
+        once built, the classification or the derived move differs from one
+        computed from scratch."""
         g, p = self.g, self.p
         if moves.find_basic_move(g, p, self) != moves.find_basic_move(g, p):
             raise moves.MoveEngineError("basic-move candidates diverged from a scan of E")
+        if self.first_singleton() != (p.role.index(ALONE) if p.singleton_count() else None):
+            raise moves.MoveEngineError("singleton candidates diverged from a scan of the roles")
         if self.vc is None:
             return
         vc = self.classification()
@@ -189,12 +214,12 @@ class SolveState:
             raise moves.MoveEngineError("incremental classification diverged from scratch")
         if (moves.find_derived_move(g, p, vc, self.derived_failures)
                 != moves.find_derived_move(g, p, vc)):
-            raise moves.MoveEngineError("derived-scan failures diverged from a full scan")
+            raise moves.MoveEngineError("derived-scan memory diverged from a full scan")
 
 
 def _next_move(g: Graph, p: PathPartition, state: SolveState) -> moves.Move | None:
     """The first applicable move, or None at a fixed point."""
-    mv = moves.find_basic_move(g, p, state) or moves.eliminate_singletons(g, p)
+    mv = moves.find_basic_move(g, p, state) or moves.eliminate_singletons(g, p, state)
     if mv:
         return mv
     vc = state.classification()

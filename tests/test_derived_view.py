@@ -173,7 +173,18 @@ def test_derived_failures_match_a_full_scan_along_a_solve(data):
         failures_seen.append(failures)
         return mv
 
-    with mock.patch.object(moves, "find_derived_move", checked):
+    apply = SolveState.apply
+
+    def applied(state, mv):
+        # the open-set scan after every move, not only where the solve scans
+        prims = apply(state, mv)
+        if data.draw(st.booleans(), label="scan after the move"):
+            vc = state.classification()
+            assert find(g, state.p, vc, state.derived_failures) == find(g, state.p, vc)
+        return prims
+
+    with (mock.patch.object(moves, "find_derived_move", checked),
+          mock.patch.object(SolveState, "apply", applied)):
         canonicalize(g, p)
     # every call of the solve passed the one failure record it keeps
     assert len({id(f) for f in failures_seen}) <= 1
@@ -190,12 +201,18 @@ def test_derived_failures_match_a_full_scan_under_random_primitives(data):
     else:
         g, p = draw_start(data)
     state = SolveState(g, p)
+    # scanning only now and then lets the re-opened region build up over steps
+    every = data.draw(st.booleans(), label="scan after every primitive")
     for _ in range(data.draw(st.integers(1, 30), label="steps")):
         prim = data.draw(st.sampled_from(legal_primitives(g, p)), label="primitive")
         state.apply(moves.Move("random", [step_for(p, prim)]))
-        vc = state.classification()
-        assert (moves.find_derived_move(g, p, vc, state.derived_failures)
-                == moves.find_derived_move(g, p, vc))
+        if every or data.draw(st.booleans(), label="scan"):
+            vc = state.classification()
+            assert (moves.find_derived_move(g, p, vc, state.derived_failures)
+                    == moves.find_derived_move(g, p, vc))
+    vc = state.classification()
+    assert (moves.find_derived_move(g, p, vc, state.derived_failures)
+            == moves.find_derived_move(g, p, vc))
 
 
 _apply_move = moves.apply_move  # the solves below run under a patched one
@@ -345,3 +362,28 @@ def test_a_record_stands_until_a_move_retires_a_component_it_watches():
     # the next scan decides (a, b) again and records it under the new stamps
     assert scan() is None and stands()
     assert failures.failed[a, b] != recorded
+
+
+def test_an_outward_cut_edge_is_decided_again_after_a_split_between_its_ends():
+    # free edge a-b on one path, whose only V2 cuts sa and sb face outward:
+    # cutting both would close a..b into a cycle. A split between a and b
+    # touches neither end, and is outside the region it reclassifies, yet
+    # makes the edge a hit
+    g, p, v = _named_instance([["u1", "sa", "a", "m1", "m2", "b", "sb", "q3"],
+                               ["t", "w"], ["t2", "w2"]],
+                              free=[("a", "b"), ("sa", "t"), ("sb", "t2")])
+    sa, a, m1, m2, b, sb, t, t2 = (v[x] for x in ("sa", "a", "m1", "m2", "b", "sb", "t", "t2"))
+    state = SolveState(g, p)
+    failures = state.derived_failures
+
+    def scans():
+        vc = state.classification()
+        return moves.find_derived_move(g, p, vc, failures), moves.find_derived_move(g, p, vc)
+
+    assert scans() == (None, None)
+    assert not failures.is_open[a]
+    state.apply(moves.Move("random", [("split_at", (m1, m2))]))
+    hit = moves.Move("derived", [("split_at", (sa, a)), ("split_at", (sb, b)),
+                                 ("join", (a, b)), ("attach", (sb, t2)), ("attach", (sa, t))])
+    assert scans() == (hit, hit)
+    assert hit == _built_derived_move(g, p, state.classification())

@@ -5,6 +5,7 @@ byte-identical across refactors of the move layer, and the discharge outputs
 across changes to the ledger's arithmetic."""
 
 import hashlib
+import heapq
 import json
 from collections import Counter
 
@@ -92,6 +93,27 @@ def test_random_like_trace_and_report_are_golden(tmp_path):
     assert _sha256(out) == MIXED_JSON_SHA256
 
 
+# 20 seeded switches on 40 disjoint K7s, the size of one benchmark
+# perturbed-clique input
+BENCH_TRACE_SHA256 = "b9e6c7fb62661ef243860dae1198ef0b9b28d7d34ba4bb70b82eef3962a51ce1"
+BENCH_JSON_SHA256 = "0fd84bcd3cb16b35649656630f6607bbe826dc56ba7df54acac2d20ef333c2f3"
+BENCH_AUDIT_SHA256 = "a1e433aa8b5cf636b8b47fc20a2e5eff74194d40b1a07cb62b2e02f39ba4f73b"
+
+
+def test_benchmark_sized_perturbed_clique_outputs_are_golden(tmp_path):
+    inst = tmp_path / "g.txt"
+    inst.write_text(write_edge_list(switched(gen_disjoint_cliques(6, 40, seed=1), 20, seed=1)))
+    trace, out, audit = tmp_path / "trace.jsonl", tmp_path / "solve.json", tmp_path / "audit.json"
+    assert main(["solve", str(inst), "--json", "--trace", str(trace), "-o", str(out)]) == 0
+    assert main(["audit", str(inst), "-o", str(audit)]) == 0
+    steps = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert Counter(s["move_kind"] for s in steps) == {
+        "basic": 20, "singleton": 1, "derived": 7, "pair": 1}
+    assert _sha256(trace) == BENCH_TRACE_SHA256
+    assert _sha256(out) == BENCH_JSON_SHA256
+    assert _sha256(audit) == BENCH_AUDIT_SHA256
+
+
 def test_a_solve_copies_the_partition_once(monkeypatch):
     # canonicalize copies its input; every move is then built in place
     copies = []
@@ -138,6 +160,63 @@ def test_check_refuses_failures_that_hide_a_derived_move():
     state.derived_failures.record(g, state.p, *join[1])
     with pytest.raises(moves.MoveEngineError, match="derived"):
         state.check()
+
+
+
+def test_check_refuses_an_open_set_that_hides_a_derived_move():
+    g = _perturbed_cliques()
+    state = SolveState(g, initial_partition(g))
+    while (mv := _next_move(g, state.p, state)).kind != "derived":
+        state.apply(mv)
+    state.check()
+    join = mv.steps[2]
+    assert join[0] == "join"
+    # the owner of the joined free edge holds the move; close it by hand
+    failures, owner = state.derived_failures, min(join[1])
+    failures.heap.remove(owner)
+    heapq.heapify(failures.heap)
+    failures.is_open[owner] = False
+    with pytest.raises(moves.MoveEngineError, match="derived"):
+        state.check()
+
+
+def test_the_derived_scan_walks_a_vertex_again_only_once_it_reopens(monkeypatch):
+    # every vertex starts open; the scan walks a vertex again only after a
+    # move re-opens it, or when the last call stopped there for its hit.
+    # Walking from vertex 0 on every call would visit 247 vertices.
+    walks = []
+    fresh = set(range(84))  # opened since their last walk
+    pop_open, reopen = moves.DerivedFailures.pop_open, moves.DerivedFailures.reopen
+
+    def walked(self):
+        walks.append([])
+        for v in pop_open(self):
+            assert v in fresh
+            walks[-1].append(v)
+            yield v
+
+    def reopened(self, vertices, free_nbrs):
+        closed = {v for v, flag in enumerate(self.is_open) if not flag}
+        reopen(self, vertices, free_nbrs)
+        fresh.update(v for v in closed if self.is_open[v])
+
+    find = moves.find_derived_move
+
+    def scan(g, p, vc, failures=None):
+        mv = find(g, p, vc, failures)
+        walk = walks[-1]
+        # the owner of a hit stays open, and only it
+        kept = [v for v in walk if failures.is_open[v]]
+        assert kept == [] or (mv is not None and kept == walk[-1:])
+        fresh.difference_update(walk[:len(walk) - len(kept)])
+        return mv
+
+    monkeypatch.setattr(moves.DerivedFailures, "pop_open", walked)
+    monkeypatch.setattr(moves.DerivedFailures, "reopen", reopened)
+    monkeypatch.setattr(moves, "find_derived_move", scan)
+    report = solve(_perturbed_cliques())
+    assert report.move_counts == {"basic": 7, "derived": 4, "pair": 1}
+    assert [len(walk) for walk in walks] == [3, 6, 15, 32, 53, 29]
 
 
 # -- discharge outputs -------------------------------------------------------

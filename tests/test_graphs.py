@@ -5,26 +5,29 @@ from pathpart.graphs import (EdgeListParseError, GenerationError, Graph,
                              GraphError, contains_k6, gen_circulant,
                              gen_complete_bipartite, gen_disjoint_cliques,
                              gen_random_regular, infer_degree, read_edge_list,
-                             validate_regular, write_edge_list)
+                             write_edge_list)
 
 from conftest import complete_graph, simple_graphs
 
 
-def test_validate_regular_k7():
-    rep = validate_regular(complete_graph(7), 6)
-    assert rep.is_regular and rep.degree == 6 and rep.offending_vertices == []
+def test_infer_degree_k7():
+    g = complete_graph(7)
+    assert infer_degree(g) == 6
+    assert [v for v in range(g.n) if g.degree(v) != 6] == []
 
 
-def test_validate_regular_k7_minus_edge():
+def test_infer_degree_k7_minus_edge():
     k7 = complete_graph(7)
     g = Graph(7, [e for e in k7.edges if e != (0, 1)])
-    rep = validate_regular(g, 6)
-    assert not rep.is_regular
-    assert rep.offending_vertices == [0, 1]
+    assert infer_degree(g) is None
+    assert [v for v in range(g.n) if g.degree(v) != 6] == [0, 1]
 
 
-def test_validate_regular_empty_vacuous():
-    assert validate_regular(Graph(0, []), 6).is_regular
+def test_infer_degree_empty_vacuous():
+    # the empty graph is d-regular for every d; infer_degree reports 0
+    g = Graph(0, [])
+    assert infer_degree(g) == 0
+    assert [v for v in range(g.n) if g.degree(v) != 6] == []
 
 
 def test_graph_rejects_malformed():

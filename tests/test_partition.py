@@ -67,7 +67,7 @@ def test_owner_index_and_helpers():
     assert p.is_end(0) and p.is_end(2) and not p.is_end(1)
     assert p.path_neighbors(1) == (0, 2)
     assert set(p.path_neighbors(4)) == {3, 5}
-    assert p.kind_of(3) == "cycle"
+    assert p.role[3] == ON_CYCLE
     assert p.role == [END, INNER, END, ON_CYCLE, ON_CYCLE, ON_CYCLE]
 
 

@@ -2,6 +2,7 @@
 classification, a reference classifier written from the definitions, and the
 full basic-move scan, under random legal primitives."""
 
+import heapq
 from collections import Counter
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, strategies as st
 from pathpart import moves
 from pathpart.classify import classify_edges, classify_vertices, edge_is_free
 from pathpart.graphs import gen_disjoint_cliques
-from pathpart.partition import CYCLE, SINGLETON, PathPartition, validate_partition
+from pathpart.partition import ALONE, CYCLE, SINGLETON, PathPartition, validate_partition
 from pathpart.solver import SolveState, initial_partition
 
 from conftest import (draw_start, legal_primitives, reference_classification, regular_graph,
@@ -40,6 +41,7 @@ def test_state_tracks_random_primitives(data):
         if data.draw(st.booleans(), label="read classification"):
             assert state.classification() == _fresh(g, p) == reference_classification(g, p)
         assert moves.find_basic_move(g, p, state) == moves.find_basic_move(g, p)
+        assert state.first_singleton() == (p.role.index(ALONE) if p.singleton_count() else None)
     assert state.classification() == _fresh(g, p) == reference_classification(g, p)
 
 
@@ -71,6 +73,15 @@ def test_join_heap_holds_only_edges_between_components(data):
         state.apply(moves.Move("random", [step_for(p, prim)]))
         assert all(p.owner[u] != p.owner[v] for u, v in Counter(state.joins) - before)
     assert set(state.joins) <= set(g.edges)
+
+
+def test_check_refuses_a_singleton_heap_that_lost_the_least_singleton():
+    g = regular_graph(10, 3, 0)
+    state = SolveState(g, PathPartition.from_lists(g.n, singletons=range(g.n)))
+    state.check()
+    heapq.heappop(state.singletons)
+    with pytest.raises(moves.MoveEngineError, match="singleton"):
+        state.check()
 
 
 def test_closing_a_clique_pushes_no_chord():

@@ -419,6 +419,9 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
     and not free; so t ends whichever piece holds it: t = o2 on x2's piece,
     t = o1 on x1's piece, and otherwise it lies outside both. Every branch
     needs an ox1 other than ox2 = t, or outside {o1, o2}, so none plans.
+    Every branch takes ox1 from t1, the balanced path ends of x1 (sb if sb
+    alone is heavy, else sa), so a candidate whose x1 has none is rejected
+    before its view too.
 
     Without `failures` the owners are every vertex. With them, they are the
     vertices `failures` holds open, in ascending order, and a free edge with
@@ -430,7 +433,7 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
     cls = vc.cls
     owner = p.owner
     role = p.role
-    balanced = vc.balanced
+    balanced, path_ends, heavy = vc.balanced, vc.balanced_path_ends, vc.heavy
     free_nbrs = vc.free_nbrs
     if failures is None:
         owners = range(g.n)
@@ -466,6 +469,8 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
                     ta = balanced[sa]
                     if len(ta) == 1 and ta == balanced[sb]:
                         continue  # one shared target: no plan (see the docstring)
+                    if not path_ends[sb if sb in heavy and sa not in heavy else sa]:
+                        continue  # x1 has no path-end target: no plan (ditto)
                     steps = _plan_reconnection(_CutView(p, sa, a, sb, b), sa, sb, vc)
                     if steps is not None:
                         return Move("derived", [("split_at", (sa, a)), ("split_at", (sb, b)),
@@ -489,28 +494,33 @@ class DerivedFailures:
     decide each path neighbour's V2 class, heavy mark and balanced targets
     and own the targets the reconnection reads. While none of those
     components dies or changes kind, x keeps its path neighbours and they
-    keep their neighbours' components, so watch(x) and the verdict stand. A vertex's watch is registered once, in `watchers`
-    (component id -> (vertex, stamp) pairs), and stays until `retire` is
-    given one of its components; that drops it and bumps the vertex's
-    `stamp`. A failed edge keeps the stamps of its two ends, so it stands
-    while `failed[a, b] == (stamp[a], stamp[b])`. Whoever applies moves must
-    call `retire` with a superset of the components each move kills or
-    re-kinds, before building it (see solver.SolveState.apply).
+    keep their neighbours' components, so watch(x) and the verdict stand.
+    A vertex's watch is registered once, in `watchers` (component id ->
+    (vertex, stamp) pairs), and stays until `retire` is given one of its
+    components; that drops it and bumps the vertex's `stamp`. A failed edge
+    keeps the stamps of its two ends, so it stands while
+    `failed[a, b] == (stamp[a], stamp[b])`. Whoever applies moves must call
+    `retire` with a superset of the components each move kills or re-kinds,
+    before building it (see solver.SolveState.apply).
 
     **Open set.** Vertex a owns the free edges (a, b) with b > a. `heap` is
     a min-heap of the open owners and `is_open[v]` marks them, so none is
-    pushed twice; every vertex starts open. `pop_open` yields them in
-    ascending order, and an owner the scan moves past closes: each of its
-    edges was decided by class or role, by a standing record, by having no
-    V2 cut pair at one end, or by candidates that found no move, which the
-    scan then records. The owner of a hit stays open. Whoever applies moves
-    must call `reopen`, once the classification is current, with the
-    vertices `reclassify` recomputed and those whose stamps `retire` bumped.
-    That covers every input of a closed owner's verdicts: class and role
-    change only in the first, and so do path neighbours and their V2 status;
-    a new free edge has both ends there; and a record falls only with a
-    bumped stamp. `reopen` also opens each free neighbour w < v of such a
-    vertex v, the owner of the edge (w, v).
+    pushed twice. `pop_open` yields them in ascending order, and an owner
+    the scan moves past closes: each of its edges was decided by class or
+    role, by a standing record, by having no V2 cut pair at one end, or by
+    candidates that found no move, which the scan then records. The owner
+    of a hit stays open. Nothing is open until the first `reopen`, which
+    must name every vertex, once the classification is built. After that,
+    whoever applies moves must call `reopen`, once the classification is
+    current, with the vertices `reclassify` recomputed and those whose
+    stamps `retire` bumped. That covers every input of a closed owner's
+    verdicts: class and role change only in the first, and so do path
+    neighbours and their V2 status; a new free edge has both ends there; and
+    a record falls only with a bumped stamp. `reopen` also opens each free
+    neighbour w < v of such a vertex v, the owner of the edge (w, v). It
+    skips a vertex the scan cannot cut at (off a path, or V2a or V5), which
+    owns no candidate and ends none: its class or role changes, and so it
+    joins the region again, before it can.
     """
 
     def __init__(self, n: int):
@@ -518,8 +528,8 @@ class DerivedFailures:
         self.stamp = [0] * n
         self.watched = [False] * n
         self.watchers: dict[int, list[tuple[int, int]]] = {}
-        self.heap = list(range(n))  # sorted, hence a heap
-        self.is_open = [True] * n
+        self.heap: list[int] = []
+        self.is_open = [False] * n
 
     def record(self, g: Graph, p: PathPartition, a: int, b: int) -> None:
         """Record that free edge (a, b), a < b, has no derived move on p."""
@@ -561,14 +571,21 @@ class DerivedFailures:
             heapq.heappop(heap)
             is_open[v] = False
 
-    def reopen(self, vertices, free_nbrs: list[list[int]]) -> None:
-        """Open each vertex v given and each free neighbour w < v of it."""
+    def reopen(self, p: PathPartition, vc: VertexClassification, vertices) -> None:
+        """Open each vertex v given and each free neighbour w < v of it, of
+        those the scan can cut at: on a path, and neither V2a nor V5."""
         heap, is_open = self.heap, self.is_open
+        cls, role, free_nbrs = vc.cls, p.role, vc.free_nbrs
         for v in vertices:
-            for w in (v, *free_nbrs[v]):
+            if cls[v] in _NO_V2_NEIGHBOUR or role[v] in _OFF_PATH:
+                continue
+            if not is_open[v]:
+                is_open[v] = True
+                heapq.heappush(heap, v)
+            for w in free_nbrs[v]:
                 if w > v:
                     break
-                if not is_open[w]:
+                if not (is_open[w] or cls[w] in _NO_V2_NEIGHBOUR or role[w] in _OFF_PATH):
                     is_open[w] = True
                     heapq.heappush(heap, w)
 

@@ -114,7 +114,7 @@ class SolveState:
     While no watch is registered this is skipped. The vertices whose stamps
     it bumped wait in `bumped` for the next read, which re-opens them, the
     region `reclassify` recomputed, and each free neighbour w < v of any of
-    them; every vertex starts open.
+    them; the first read opens every vertex.
     """
 
     def __init__(self, g: Graph, p: PathPartition):
@@ -188,12 +188,13 @@ class SolveState:
         g, p = self.g, self.p
         if self.vc is None:
             self.vc = classify_vertices(g, p, classify_edges(g, p))
+            self.derived_failures.reopen(p, self.vc, range(g.n))
         elif self.dirty:
             nbrs = self.vc.free_nbrs
             for v in self.dirty:
                 nbrs[v] = [w for w in g.adj[v] if edge_is_free(p, v, w)]
             region = reclassify(g, p, self.vc, self.dirty)
-            self.derived_failures.reopen(region.union(self.bumped), nbrs)
+            self.derived_failures.reopen(p, self.vc, region.union(self.bumped))
             self.bumped = set()
         self.dirty = set()
         return self.vc

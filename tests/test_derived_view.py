@@ -1,8 +1,9 @@
 """Property tests: the derived scan, deciding each candidate on a view of the
 live partition, returns the move that building every candidate on a copy
-returns; and skipping the free edges whose recorded failures still stand
-returns the move a full scan returns. Hand-built partitions pin the
-candidates rejected before any view."""
+returns; and walking only the open vertices, skipping the free edges whose
+recorded failures still stand, returns the move a full scan returns.
+Hand-built partitions pin the candidates rejected before any view and an
+edge that a split elsewhere decides again."""
 
 from unittest import mock
 
@@ -318,10 +319,45 @@ def test_one_shared_target_is_rejected_without_a_view(monkeypatch, paths, cycles
     assert moves._plan_reconnection(moves._CutView(p, sa, a, sb, b), sa, sb, vc) is None
     views = _record_views(monkeypatch)
     failures = moves.DerivedFailures(g.n)
+    failures.reopen(p, vc, range(g.n))
     assert moves.find_derived_move(g, p, vc, failures) == _built_derived_move(g, p, vc)
     assert views == []
     # the rejected edge is recorded like an edge whose views all failed
     assert failures.failed[min(a, b), max(a, b)] == (failures.stamp[a], failures.stamp[b])
+
+
+def test_an_end_with_no_path_end_target_is_rejected_without_a_view(monkeypatch):
+    # sa's one balanced target lies on a cycle, and neither new end is heavy;
+    # every reconnection attaches x1 = sa to a path end, so none plans
+    g, p, v = _named_instance(_APART + [["t", "w"]], cycles=[["c1", "c2", "c3"]],
+                              free=[("a", "b"), ("sa", "c1"), ("sb", "t")])
+    vc = classify_vertices(g, p, classify_edges(g, p))
+    sa, a, sb, b, c1, t = (v[x] for x in ("sa", "a", "sb", "b", "c1", "t"))
+    assert (vc.balanced[sa], vc.balanced_path_ends[sa], vc.balanced[sb]) == ([c1], [], [t])
+    assert not vc.heavy
+    assert moves._plan_reconnection(moves._CutView(p, sa, a, sb, b), sa, sb, vc) is None
+    views = _record_views(monkeypatch)
+    failures = moves.DerivedFailures(g.n)
+    failures.reopen(p, vc, range(g.n))
+    assert moves.find_derived_move(g, p, vc, failures) == _built_derived_move(g, p, vc)
+    assert views == []
+    assert failures.failed[min(a, b), max(a, b)] == (failures.stamp[a], failures.stamp[b])
+
+
+def test_a_heavy_end_alone_takes_the_path_end_target(monkeypatch):
+    # as above, but sb alone is heavy, so x1 = sb and the candidate plans
+    g, p, v = _named_instance(_APART + [["t1", "w1"], ["t2", "w2"], ["t3", "w3"]],
+                              cycles=[["c1", "c2", "c3"]],
+                              free=[("a", "b"), ("sa", "c1"), ("sb", "t1"), ("sb", "t2"),
+                                    ("sb", "t3")])
+    vc = classify_vertices(g, p, classify_edges(g, p))
+    sa, a, sb, b, c1, t1 = (v[x] for x in ("sa", "a", "sb", "b", "c1", "t1"))
+    assert vc.heavy == {sb} and vc.balanced_path_ends[sa] == []
+    views = _record_views(monkeypatch)
+    mv = moves.find_derived_move(g, p, vc)
+    assert mv == _built_derived_move(g, p, vc)
+    assert mv.steps[3:] == [("attach", (sa, c1)), ("attach", (sb, t1))]
+    assert views == [(sa, a, sb, b)]
 
 
 def test_a_second_target_keeps_the_candidate(monkeypatch):

@@ -181,11 +181,12 @@ def test_check_refuses_an_open_set_that_hides_a_derived_move():
 
 
 def test_the_derived_scan_walks_a_vertex_again_only_once_it_reopens(monkeypatch):
-    # every vertex starts open; the scan walks a vertex again only after a
-    # move re-opens it, or when the last call stopped there for its hit.
-    # Walking from vertex 0 on every call would visit 247 vertices.
+    # the first classification opens every vertex the scan can cut at; the
+    # scan walks a vertex again only after a move re-opens it, or when the
+    # last call stopped there for its hit. Walking from vertex 0 on every
+    # call would visit 247 vertices.
     walks = []
-    fresh = set(range(84))  # opened since their last walk
+    fresh = set()  # opened since their last walk
     pop_open, reopen = moves.DerivedFailures.pop_open, moves.DerivedFailures.reopen
 
     def walked(self):
@@ -195,9 +196,9 @@ def test_the_derived_scan_walks_a_vertex_again_only_once_it_reopens(monkeypatch)
             walks[-1].append(v)
             yield v
 
-    def reopened(self, vertices, free_nbrs):
+    def reopened(self, p, vc, vertices):
         closed = {v for v, flag in enumerate(self.is_open) if not flag}
-        reopen(self, vertices, free_nbrs)
+        reopen(self, p, vc, vertices)
         fresh.update(v for v in closed if self.is_open[v])
 
     find = moves.find_derived_move
@@ -216,7 +217,7 @@ def test_the_derived_scan_walks_a_vertex_again_only_once_it_reopens(monkeypatch)
     monkeypatch.setattr(moves, "find_derived_move", scan)
     report = solve(_perturbed_cliques())
     assert report.move_counts == {"basic": 7, "derived": 4, "pair": 1}
-    assert [len(walk) for walk in walks] == [3, 6, 15, 32, 53, 29]
+    assert [len(walk) for walk in walks] == [1, 3, 9, 17, 36, 15]
 
 
 # -- discharge outputs -------------------------------------------------------

@@ -1,6 +1,6 @@
 """Property tests: the solver's incremental SolveState against from-scratch
 classification, a reference classifier written from the definitions, and the
-full basic-move scan, under random legal primitives."""
+full basic-move and singleton scans, under random legal primitives."""
 
 import heapq
 from collections import Counter

@@ -421,13 +421,20 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
     needs an ox1 other than ox2 = t, or outside {o1, o2}, so none plans.
     Every branch takes ox1 from t1, the balanced path ends of x1 (sb if sb
     alone is heavy, else sa), so a candidate whose x1 has none is rejected
-    before its view too.
+    before its view too. So is a candidate on one path whose new ends' targets
+    all end that path, at E0 or E1. The cuts do not both face outward. If
+    both face inward, sa and sb share the middle piece and E0 and E1 lie on
+    the joined one, so every ox2 lies off x1's piece and every ox1 on ox2's.
+    Otherwise one new end lies on the joined piece and the other on an outer
+    one, and the far ends o1 and o2 of those pieces are E0 and E1. Every
+    target is then o1 or o2, on x1's or x2's piece, so only the branches for
+    ox2 = o2 and ox2 = o1 apply, and both need an ox1 outside {o1, o2}.
 
     Without `failures` the owners are every vertex. With them, they are the
     vertices `failures` holds open, in ascending order, and a free edge with
     a V2 cut pair at each end whose candidates found no move (by a view, by
-    that rejection, or because both cuts face outward on one path) is
-    recorded there and skipped while the record stands (see
+    one of those rejections, or because both cuts face outward on one path)
+    is recorded there and skipped while the record stands (see
     `DerivedFailures`); the scan still returns the first hit in edge order.
     """
     cls = vc.cls
@@ -456,8 +463,12 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
             if not cuts_b:
                 continue
             same = owner[a] == owner[b]
+            if same:
+                verts = p.components[owner[a]].vertices
+                tips = (verts[0], verts[-1])
             for sa in cuts_a:
                 for sb in cuts_b:
+                    ta, tb = balanced[sa], balanced[sb]
                     if same:
                         pa, pb = p.pos[a], p.pos[b]
                         lo_v, lo_p, hi_v, hi_p = (a, pa, b, pb) if pa < pb else (b, pb, a, pa)
@@ -466,11 +477,12 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
                         # both cuts facing outward would close the middle into a cycle
                         if p.pos[s_lo] < lo_p and p.pos[s_hi] > hi_p:
                             continue
-                    ta = balanced[sa]
-                    if len(ta) == 1 and ta == balanced[sb]:
+                    if len(ta) == 1 and ta == tb:
                         continue  # one shared target: no plan (see the docstring)
                     if not path_ends[sb if sb in heavy and sa not in heavy else sa]:
                         continue  # x1 has no path-end target: no plan (ditto)
+                    if same and all(t in tips for t in ta) and all(t in tips for t in tb):
+                        continue  # every target ends the path: no plan (ditto)
                     steps = _plan_reconnection(_CutView(p, sa, a, sb, b), sa, sb, vc)
                     if steps is not None:
                         return Move("derived", [("split_at", (sa, a)), ("split_at", (sb, b)),
@@ -509,9 +521,9 @@ class DerivedFailures:
     the scan moves past closes: each of its edges was decided by class or
     role, by a standing record, by having no V2 cut pair at one end, or by
     candidates that found no move, which the scan then records. The owner
-    of a hit stays open. Nothing is open until the first `reopen`, which
-    must name every vertex, once the classification is built. After that,
-    whoever applies moves must call `reopen`, once the classification is
+    of a hit stays open. Nothing is open until `open_all`, which whoever
+    scans must call once the classification is built. After that, whoever
+    applies moves must call `reopen`, once the classification is
     current, with the vertices `reclassify` recomputed and those whose
     stamps `retire` bumped. That covers every input of a closed owner's
     verdicts: class and role change only in the first, and so do path
@@ -571,13 +583,21 @@ class DerivedFailures:
             heapq.heappop(heap)
             is_open[v] = False
 
+    def open_all(self, p: PathPartition, vc: VertexClassification) -> None:
+        """Open every vertex the scan can cut at, as `reopen` would given
+        all of them."""
+        self.is_open = [c not in _NO_V2_NEIGHBOUR and r not in _OFF_PATH
+                        for c, r in zip(vc.cls, p.role)]
+        self.heap = [v for v, flag in enumerate(self.is_open) if flag]  # sorted, hence a heap
+
     def reopen(self, p: PathPartition, vc: VertexClassification, vertices) -> None:
         """Open each vertex v given and each free neighbour w < v of it, of
         those the scan can cut at: on a path, and neither V2a nor V5."""
         heap, is_open = self.heap, self.is_open
         cls, role, free_nbrs = vc.cls, p.role, vc.free_nbrs
+        no_v2, off_path = _NO_V2_NEIGHBOUR, _OFF_PATH
         for v in vertices:
-            if cls[v] in _NO_V2_NEIGHBOUR or role[v] in _OFF_PATH:
+            if cls[v] in no_v2 or role[v] in off_path:
                 continue
             if not is_open[v]:
                 is_open[v] = True
@@ -585,7 +605,7 @@ class DerivedFailures:
             for w in free_nbrs[v]:
                 if w > v:
                     break
-                if not (is_open[w] or cls[w] in _NO_V2_NEIGHBOUR or role[w] in _OFF_PATH):
+                if not (is_open[w] or cls[w] in no_v2 or role[w] in off_path):
                     is_open[w] = True
                     heapq.heappush(heap, w)
 

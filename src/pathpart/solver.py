@@ -188,14 +188,16 @@ class SolveState:
         g, p = self.g, self.p
         if self.vc is None:
             self.vc = classify_vertices(g, p, classify_edges(g, p))
-            self.derived_failures.reopen(p, self.vc, range(g.n))
+            self.derived_failures.open_all(p, self.vc)
         elif self.dirty:
             nbrs = self.vc.free_nbrs
             for v in self.dirty:
                 nbrs[v] = [w for w in g.adj[v] if edge_is_free(p, v, w)]
-            region = reclassify(g, p, self.vc, self.dirty)
-            self.derived_failures.reopen(p, self.vc, region.union(self.bumped))
-            self.bumped = set()
+            failures = self.derived_failures
+            failures.reopen(p, self.vc, reclassify(g, p, self.vc, self.dirty))
+            if self.bumped:
+                failures.reopen(p, self.vc, self.bumped)
+                self.bumped = set()
         self.dirty = set()
         return self.vc
 

@@ -319,7 +319,7 @@ def test_one_shared_target_is_rejected_without_a_view(monkeypatch, paths, cycles
     assert moves._plan_reconnection(moves._CutView(p, sa, a, sb, b), sa, sb, vc) is None
     views = _record_views(monkeypatch)
     failures = moves.DerivedFailures(g.n)
-    failures.reopen(p, vc, range(g.n))
+    failures.open_all(p, vc)
     assert moves.find_derived_move(g, p, vc, failures) == _built_derived_move(g, p, vc)
     assert views == []
     # the rejected edge is recorded like an edge whose views all failed
@@ -338,7 +338,7 @@ def test_an_end_with_no_path_end_target_is_rejected_without_a_view(monkeypatch):
     assert moves._plan_reconnection(moves._CutView(p, sa, a, sb, b), sa, sb, vc) is None
     views = _record_views(monkeypatch)
     failures = moves.DerivedFailures(g.n)
-    failures.reopen(p, vc, range(g.n))
+    failures.open_all(p, vc)
     assert moves.find_derived_move(g, p, vc, failures) == _built_derived_move(g, p, vc)
     assert views == []
     assert failures.failed[min(a, b), max(a, b)] == (failures.stamp[a], failures.stamp[b])
@@ -358,6 +358,25 @@ def test_a_heavy_end_alone_takes_the_path_end_target(monkeypatch):
     assert mv == _built_derived_move(g, p, vc)
     assert mv.steps[3:] == [("attach", (sa, c1)), ("attach", (sb, t1))]
     assert views == [(sa, a, sb, b)]
+
+
+def test_targets_that_all_end_the_one_path_are_rejected_without_a_view(monkeypatch):
+    # a-b is a chord of one path; sa faces inward and sb outward, so sa lies
+    # on the joined piece with e0 and sb on the outer piece with e1. Every
+    # target is e0 or e1, the far ends of those pieces, so none plans
+    g, p, v = _named_instance([["e0", "a", "sa", "m", "b", "sb", "e1"]],
+                              free=[("a", "b"), ("sa", "e0"), ("sa", "e1"), ("sb", "e0")])
+    vc = classify_vertices(g, p, classify_edges(g, p))
+    e0, a, sa, b, sb, e1 = (v[x] for x in ("e0", "a", "sa", "b", "sb", "e1"))
+    assert (vc.balanced_path_ends[sa], vc.balanced[sb]) == ([e0, e1], [e0])
+    assert not vc.heavy
+    assert moves._plan_reconnection(moves._CutView(p, sa, a, sb, b), sa, sb, vc) is None
+    views = _record_views(monkeypatch)
+    failures = moves.DerivedFailures(g.n)
+    failures.open_all(p, vc)
+    assert moves.find_derived_move(g, p, vc, failures) == _built_derived_move(g, p, vc)
+    assert views == []
+    assert failures.failed[min(a, b), max(a, b)] == (failures.stamp[a], failures.stamp[b])
 
 
 def test_a_second_target_keeps_the_candidate(monkeypatch):

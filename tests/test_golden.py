@@ -133,7 +133,9 @@ def test_a_solve_views_only_the_free_edges_whose_components_changed(monkeypatch)
     # a free edge whose views found no move is skipped while the components
     # its verdict read stand, and a candidate whose two new ends share one
     # balanced target is rejected without a view: 129 views when every call
-    # rescanned every edge, 118 with the failure records alone, 13 with both
+    # rescanned every edge, 118 with the failure records alone, 13 with both;
+    # 5 once a candidate whose x1 has no path-end target, or whose targets
+    # all end its one path, is rejected without a view too
     views = []
     init = moves._CutView.__init__
 
@@ -144,7 +146,7 @@ def test_a_solve_views_only_the_free_edges_whose_components_changed(monkeypatch)
     monkeypatch.setattr(moves._CutView, "__init__", counted)
     report = solve(_perturbed_cliques())
     assert report.move_counts == {"basic": 7, "derived": 4, "pair": 1}
-    assert len(views) == 13
+    assert len(views) == 5
 
 
 def test_check_refuses_failures_that_hide_a_derived_move():
@@ -187,7 +189,7 @@ def test_the_derived_scan_walks_a_vertex_again_only_once_it_reopens(monkeypatch)
     # call would visit 247 vertices.
     walks = []
     fresh = set()  # opened since their last walk
-    pop_open, reopen = moves.DerivedFailures.pop_open, moves.DerivedFailures.reopen
+    pop_open = moves.DerivedFailures.pop_open
 
     def walked(self):
         walks.append([])
@@ -196,10 +198,12 @@ def test_the_derived_scan_walks_a_vertex_again_only_once_it_reopens(monkeypatch)
             walks[-1].append(v)
             yield v
 
-    def reopened(self, p, vc, vertices):
-        closed = {v for v, flag in enumerate(self.is_open) if not flag}
-        reopen(self, p, vc, vertices)
-        fresh.update(v for v in closed if self.is_open[v])
+    def tracked(opener):
+        def opened(self, *args):
+            closed = {v for v, flag in enumerate(self.is_open) if not flag}
+            opener(self, *args)
+            fresh.update(v for v in closed if self.is_open[v])
+        return opened
 
     find = moves.find_derived_move
 
@@ -213,7 +217,9 @@ def test_the_derived_scan_walks_a_vertex_again_only_once_it_reopens(monkeypatch)
         return mv
 
     monkeypatch.setattr(moves.DerivedFailures, "pop_open", walked)
-    monkeypatch.setattr(moves.DerivedFailures, "reopen", reopened)
+    for name in ("open_all", "reopen"):
+        monkeypatch.setattr(moves.DerivedFailures, name,
+                            tracked(getattr(moves.DerivedFailures, name)))
     monkeypatch.setattr(moves, "find_derived_move", scan)
     report = solve(_perturbed_cliques())
     assert report.move_counts == {"basic": 7, "derived": 4, "pair": 1}

@@ -516,8 +516,9 @@ class DerivedFailures:
     before building it (see solver.SolveState.apply).
 
     **Open set.** Vertex a owns the free edges (a, b) with b > a. `heap` is
-    a min-heap of the open owners and `is_open[v]` marks them, so none is
-    pushed twice. `pop_open` yields them in ascending order, and an owner
+    a lazily validated min-heap of the open owners: `is_open[v]` marks them,
+    so none is pushed while open, and an entry whose vertex closed is
+    dropped when it comes up. `pop_open` yields them in ascending order, and an owner
     the scan moves past closes: each of its edges was decided by class or
     role, by a standing record, by having no V2 cut pair at one end, or by
     candidates that found no move, which the scan then records. The owner
@@ -532,7 +533,11 @@ class DerivedFailures:
     neighbour w < v of such a vertex v, the owner of the edge (w, v). It
     skips a vertex the scan cannot cut at (off a path, or V2a or V5), which
     owns no candidate and ends none: its class or role changes, and so it
-    joins the region again, before it can.
+    joins the region again, before it can. Every vertex above `top`, the
+    highest owner a scan has closed, that the scan can cut at is open:
+    `open_all` opens them all, only a scan closes such a vertex, and one
+    that becomes cuttable is in the region. So `reopen` looks only at the
+    free neighbours w <= `top`.
     """
 
     def __init__(self, n: int):
@@ -542,6 +547,7 @@ class DerivedFailures:
         self.watchers: dict[int, list[tuple[int, int]]] = {}
         self.heap: list[int] = []
         self.is_open = [False] * n
+        self.top = -1  # the highest owner a scan has closed
 
     def record(self, g: Graph, p: PathPartition, a: int, b: int) -> None:
         """Record that free edge (a, b), a < b, has no derived move on p."""
@@ -575,13 +581,16 @@ class DerivedFailures:
     def pop_open(self):
         """Yield the open vertices in ascending order, closing each once the
         caller asks for the next; the last one yielded to a caller that
-        stops stays open."""
+        stops stays open. Entries closed by `reopen` are dropped unseen."""
         heap, is_open = self.heap, self.is_open
         while heap:
             v = heap[0]
-            yield v
+            if is_open[v]:
+                yield v
+                is_open[v] = False
+                if v > self.top:
+                    self.top = v
             heapq.heappop(heap)
-            is_open[v] = False
 
     def open_all(self, p: PathPartition, vc: VertexClassification) -> None:
         """Open every vertex the scan can cut at, as `reopen` would given
@@ -592,18 +601,21 @@ class DerivedFailures:
 
     def reopen(self, p: PathPartition, vc: VertexClassification, vertices) -> None:
         """Open each vertex v given and each free neighbour w < v of it, of
-        those the scan can cut at: on a path, and neither V2a nor V5."""
-        heap, is_open = self.heap, self.is_open
+        those the scan can cut at: on a path, and neither V2a nor V5. A
+        vertex given that the scan cannot cut at is closed; its heap entry
+        stays until `pop_open` drops it."""
+        heap, is_open, top = self.heap, self.is_open, self.top
         cls, role, free_nbrs = vc.cls, p.role, vc.free_nbrs
         no_v2, off_path = _NO_V2_NEIGHBOUR, _OFF_PATH
         for v in vertices:
             if cls[v] in no_v2 or role[v] in off_path:
+                is_open[v] = False
                 continue
             if not is_open[v]:
                 is_open[v] = True
                 heapq.heappush(heap, v)
             for w in free_nbrs[v]:
-                if w > v:
+                if w > v or w > top:
                     break
                 if not (is_open[w] or cls[w] in no_v2 or role[w] in off_path):
                     is_open[w] = True

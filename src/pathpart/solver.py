@@ -136,10 +136,11 @@ class SolveState:
             self.bumped.update(failures.retire({owner[x] for _, args in mv.steps for x in args}))
         prims, touched = moves.apply_move(self.g, self.p, mv)
         self.dirty |= touched
-        role = self.p.role
-        for v in touched:
-            if role[v] == ALONE:
-                heapq.heappush(self.singletons, v)
+        if self.p.singleton_count():
+            role = self.p.role
+            for v in touched:
+                if role[v] == ALONE:
+                    heapq.heappush(self.singletons, v)
         for cid in {self.p.owner[v] for v in touched}:
             comp = self.p.components[cid]
             joinable = comp.vertices

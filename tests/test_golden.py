@@ -223,7 +223,7 @@ def test_the_derived_scan_walks_a_vertex_again_only_once_it_reopens(monkeypatch)
     monkeypatch.setattr(moves, "find_derived_move", scan)
     report = solve(_perturbed_cliques())
     assert report.move_counts == {"basic": 7, "derived": 4, "pair": 1}
-    assert [len(walk) for walk in walks] == [1, 3, 9, 17, 36, 15]
+    assert [len(walk) for walk in walks] == [1, 2, 5, 13, 21, 15]
 
 
 # -- discharge outputs -------------------------------------------------------

@@ -516,28 +516,23 @@ class DerivedFailures:
     before building it (see solver.SolveState.apply).
 
     **Open set.** Vertex a owns the free edges (a, b) with b > a. `heap` is
-    a lazily validated min-heap of the open owners: `is_open[v]` marks them,
-    so none is pushed while open, and an entry whose vertex closed is
-    dropped when it comes up. `pop_open` yields them in ascending order, and an owner
-    the scan moves past closes: each of its edges was decided by class or
-    role, by a standing record, by having no V2 cut pair at one end, or by
-    candidates that found no move, which the scan then records. The owner
-    of a hit stays open. Nothing is open until `open_all`, which whoever
-    scans must call once the classification is built. After that, whoever
-    applies moves must call `reopen`, once the classification is
-    current, with the vertices `reclassify` recomputed and those whose
-    stamps `retire` bumped. That covers every input of a closed owner's
-    verdicts: class and role change only in the first, and so do path
-    neighbours and their V2 status; a new free edge has both ends there; and
-    a record falls only with a bumped stamp. `reopen` also opens each free
-    neighbour w < v of such a vertex v, the owner of the edge (w, v). It
-    skips a vertex the scan cannot cut at (off a path, or V2a or V5), which
-    owns no candidate and ends none: its class or role changes, and so it
-    joins the region again, before it can. Every vertex above `top`, the
-    highest owner a scan has closed, that the scan can cut at is open:
-    `open_all` opens them all, only a scan closes such a vertex, and one
-    that becomes cuttable is in the region. So `reopen` looks only at the
-    free neighbours w <= `top`.
+    a lazily validated min-heap of open owners, marked in `is_open`; an
+    entry whose vertex closed is dropped when it comes up. `pop_open` yields
+    them in ascending order, and an owner the scan moves past closes, as it
+    decided each of its edges: by class or role, by a standing record, by
+    having no V2 cut pair at one end, or by candidates that found no move,
+    then recorded. The owner of a hit stays open. `open_all` opens every
+    vertex once the classification is built; after that, whoever applies
+    moves must call `reopen` with the vertices `reclassify` recomputed and
+    those whose stamps `retire` bumped. Class and role change only in the
+    first, and so do path neighbours and their V2 status; a new free edge
+    has both ends there; and a record falls only with a bumped stamp.
+    `reopen` also opens each free neighbour w < v of such a vertex v, the
+    owner of the edge (w, v). Only vertices the scan can cut at (on a path,
+    neither V2a nor V5) are opened: any other owns no candidate and ends
+    none, and it is back in the region before that changes. So every
+    cuttable vertex above `top`, the highest owner a scan has closed, is
+    open, and `reopen` looks only at the neighbours w <= `top`.
     """
 
     def __init__(self, n: int):
@@ -593,17 +588,14 @@ class DerivedFailures:
             heapq.heappop(heap)
 
     def open_all(self, p: PathPartition, vc: VertexClassification) -> None:
-        """Open every vertex the scan can cut at, as `reopen` would given
-        all of them."""
+        """Open every vertex the scan can cut at."""
         self.is_open = [c not in _NO_V2_NEIGHBOUR and r not in _OFF_PATH
                         for c, r in zip(vc.cls, p.role)]
         self.heap = [v for v, flag in enumerate(self.is_open) if flag]  # sorted, hence a heap
 
     def reopen(self, p: PathPartition, vc: VertexClassification, vertices) -> None:
-        """Open each vertex v given and each free neighbour w < v of it, of
-        those the scan can cut at: on a path, and neither V2a nor V5. A
-        vertex given that the scan cannot cut at is closed; its heap entry
-        stays until `pop_open` drops it."""
+        """Open each vertex v given and each free neighbour w < v of it that
+        the scan can cut at; close each v given that it cannot."""
         heap, is_open, top = self.heap, self.is_open, self.top
         cls, role, free_nbrs = vc.cls, p.role, vc.free_nbrs
         no_v2, off_path = _NO_V2_NEIGHBOUR, _OFF_PATH

@@ -179,9 +179,8 @@ def test_derived_failures_match_a_full_scan_along_a_solve(data):
     def applied(state, mv):
         # the open-set scan after every move, not only where the solve scans
         prims = apply(state, mv)
-        if data.draw(st.booleans(), label="scan after the move"):
-            vc = state.classification()
-            assert find(g, state.p, vc, state.derived_failures) == find(g, state.p, vc)
+        vc = state.classification()
+        assert find(g, state.p, vc, state.derived_failures) == find(g, state.p, vc)
         return prims
 
     with (mock.patch.object(moves, "find_derived_move", checked),
@@ -202,15 +201,16 @@ def test_derived_failures_match_a_full_scan_under_random_primitives(data):
     else:
         g, p = draw_start(data)
     state = SolveState(g, p)
-    # scanning only now and then lets the re-opened region build up over steps
-    every = data.draw(st.booleans(), label="scan after every primitive")
     for _ in range(data.draw(st.integers(1, 30), label="steps")):
         prim = data.draw(st.sampled_from(legal_primitives(g, p)), label="primitive")
         state.apply(moves.Move("random", [step_for(p, prim)]))
-        if every or data.draw(st.booleans(), label="scan"):
-            vc = state.classification()
-            assert (moves.find_derived_move(g, p, vc, state.derived_failures)
-                    == moves.find_derived_move(g, p, vc))
+        vc = state.classification()
+        assert (moves.find_derived_move(g, p, vc, state.derived_failures)
+                == moves.find_derived_move(g, p, vc))
+    # unscanned primitives let the re-opened region build up before one scan
+    for _ in range(data.draw(st.integers(0, 10), label="unscanned steps")):
+        prim = data.draw(st.sampled_from(legal_primitives(g, p)), label="primitive")
+        state.apply(moves.Move("random", [step_for(p, prim)]))
     vc = state.classification()
     assert (moves.find_derived_move(g, p, vc, state.derived_failures)
             == moves.find_derived_move(g, p, vc))

@@ -1,14 +1,15 @@
-"""Exact minimum path partition for small graphs, plus an independent cross-check."""
+"""Exact minimum path partition for small graphs, by subset DP."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .graphs import Graph
 from .partition import PathPartition
 
 
-SLAB = 4096  # subsets per array pass of exact_pi_p
+SLAB = 2048  # subsets per array pass of exact_pi_p
 
 
 class OracleUnknown(RuntimeError):
@@ -40,17 +41,23 @@ def exact_pi_p(g: Graph, budget: int = 50_000_000, cap: int = 16) -> OracleResul
     Isolated vertices count as paths of size one.
 
     Every S - w has one vertex fewer than S, so the subsets are filled in
-    layers of equal size, each in slabs of at most SLAB subsets: one
-    (n x slab) array holds S ^ w for every vertex w. For a w not in S that is
-    S + w, one layer up and not filled yet: it still holds the sentinel n + 1
-    that every cover entry but cover[0] starts at, and an empty ends, so its
-    row reads n + 2. That is above any cover of S (at most |S| <= n), so such
-    rows never reach the minimum or ends[S], and need no mask. int8 holds
+    layers of equal size, taken from one stable argsort of the popcounts (S
+    ascending within a layer), each layer in slabs of at most SLAB subsets:
+    one (n x slab) array holds S ^ w for every vertex w. For a w not in S that
+    is S + w, one layer up and not filled yet: it still holds the sentinel
+    n + 1 that every cover entry but cover[0] starts at, and an empty ends, so
+    its row reads n + 2. That is above any cover of S (at most |S| <= n), so
+    such rows never reach the minimum or ends[S], and need no mask. int8 holds
     n + 2 for every n the oracle accepts. Masks are uint16 up to 16 vertices
-    and uint32 up to 32; the oracle gives up above that. `explored` counts
-    the (S, w) transitions, n * 2^(n-1), and the budget is checked against
-    that total before any table is allocated (or NumPy imported). Tables or
-    slabs that do not fit in memory end in OracleUnknown too.
+    and uint32 up to 32; the oracle gives up above that. S ^ w is widened to
+    native intp indices before the two gathers, which would otherwise cast
+    the index array on each, and every slab runs through the same four
+    buffers, allocated once per call and viewed as (n x slab) arrays over
+    their first n * slab entries, so a partial slab stays contiguous.
+    `explored` counts the (S, w) transitions, n * 2^(n-1), and the budget is
+    checked against that total before any table is allocated (or NumPy
+    imported). Tables or buffers that do not fit in memory end in
+    OracleUnknown too.
     """
     n = g.n
     check_cap(n, cap)
@@ -75,18 +82,33 @@ def exact_pi_p(g: Graph, budget: int = 50_000_000, cap: int = 16) -> OracleResul
         size = np.zeros(1, dtype=np.int8)  # size[S] = popcount of S
         for _ in range(n):
             size = np.concatenate((size, size + 1))
+        order = np.argsort(size, kind="stable").astype(mask)
+        del size  # the peak comes with the tables and buffers below
         cover = np.full(full + 1, n + 1, dtype=np.int8)
         cover[0] = 0
         ends = np.zeros(full + 1, dtype=mask)
+        width = min(SLAB, comb(n, n // 2))
+        flat = [np.empty(n * width, dtype=dtype) for dtype in (np.intp, np.int8, mask, bool)]
+        lo = 1  # order[lo:hi] is layer k
         for k in range(1, n + 1):
-            layer = np.flatnonzero(size == k).astype(mask)
-            for lo in range(0, len(layer), SLAB):
-                s = layer[lo:lo + SLAB]
-                t = s ^ bits  # row w: S - w, or S + w where w is not in S
-                c = cover[t] + ((ends[t] & nbrs) == 0)
+            hi = lo + comb(n, k)
+            for first in range(lo, hi, width):
+                s = order[first:min(first + width, hi)]
+                t, c, e, b = (buf[:n * len(s)].reshape(n, len(s)) for buf in flat)
+                np.bitwise_xor(s, bits, out=e)  # row w: S - w, or S + w where w is not in S
+                np.copyto(t, e)  # native indices: take casts no copy of them
+                np.take(cover, t, out=c)
+                np.take(ends, t, out=e)
+                np.bitwise_and(e, nbrs, out=e)
+                np.equal(e, 0, out=b)
+                np.add(c, b, out=c)
                 best = c.min(axis=0)
+                np.equal(c, best, out=b)
+                np.multiply(bits, b, out=e)
+                s = s.astype(np.intp)
                 cover[s] = best
-                ends[s] = np.bitwise_or.reduce(bits * (c == best), axis=0)
+                ends[s] = np.bitwise_or.reduce(e, axis=0)
+            lo = hi
     except MemoryError:
         raise OracleUnknown("subset DP tables do not fit in memory") from None
 
@@ -124,51 +146,3 @@ def _peel(ends, adj: dict[int, int], full: int) -> list[list[int]]:
         paths.append(seq)
     return paths
 
-
-def max_linear_forest(g: Graph, cap: int = 10) -> int:
-    """Maximum edge count of a spanning linear forest, by branch and bound.
-
-    Includes edges in fixed order under degree-two and acyclicity constraints;
-    independent of the subset DP, used to cross-check pi_p = n - max edges.
-    """
-    if g.n > cap:
-        raise OracleUnknown(f"n={g.n} above linear-forest cap {cap}")
-    edges = g.edges
-    m = len(edges)
-    deg = [0] * g.n
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    best = 0
-
-    def dfs(idx: int, count: int):
-        nonlocal best
-        if count > best:
-            best = count
-        if idx == m or count + (m - idx) <= best or best >= g.n - 1:
-            return
-        u, v = edges[idx]
-        if deg[u] < 2 and deg[v] < 2:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                deg[u] += 1
-                deg[v] += 1
-                saved = parent[ru]
-                parent[ru] = rv
-                dfs(idx + 1, count + 1)
-                parent[ru] = saved
-                deg[u] -= 1
-                deg[v] -= 1
-        dfs(idx + 1, count)
-
-    dfs(0, 0)
-    return best
-
-
-def pi_p_via_linear_forest(g: Graph, cap: int = 10) -> int:
-    return g.n - max_linear_forest(g, cap=cap)

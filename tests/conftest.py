@@ -11,6 +11,7 @@ from hypothesis import settings, strategies as st
 from pathpart import moves
 from pathpart.classify import V1, V2A, V2B, V3, V4, V5, VertexClassification
 from pathpart.graphs import Graph, gen_random_regular
+from pathpart.oracle import OracleUnknown
 from pathpart.partition import (ALONE, CYCLE, END, INNER, ON_CYCLE, PATH, SINGLETON,
                                 PathPartition)
 from pathpart.solver import initial_partition
@@ -179,3 +180,52 @@ def reference_classification(g: Graph, p: PathPartition):
             if (a in heavy and b in moderate) or (b in heavy and a in moderate):
                 dangerous.add(v)
     return VertexClassification(cls, free, balanced, ends, moderate, heavy, dangerous)
+
+
+def max_linear_forest(g: Graph, cap: int = 10) -> int:
+    """Maximum edge count of a spanning linear forest, by branch and bound.
+
+    Includes edges in fixed order under degree-two and acyclicity constraints;
+    independent of the subset DP, used to cross-check pi_p = n - max edges.
+    """
+    if g.n > cap:
+        raise OracleUnknown(f"n={g.n} above linear-forest cap {cap}")
+    edges = g.edges
+    m = len(edges)
+    deg = [0] * g.n
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    best = 0
+
+    def dfs(idx: int, count: int):
+        nonlocal best
+        if count > best:
+            best = count
+        if idx == m or count + (m - idx) <= best or best >= g.n - 1:
+            return
+        u, v = edges[idx]
+        if deg[u] < 2 and deg[v] < 2:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                deg[u] += 1
+                deg[v] += 1
+                saved = parent[ru]
+                parent[ru] = rv
+                dfs(idx + 1, count + 1)
+                parent[ru] = saved
+                deg[u] -= 1
+                deg[v] -= 1
+        dfs(idx + 1, count)
+
+    dfs(0, 0)
+    return best
+
+
+def pi_p_via_linear_forest(g: Graph, cap: int = 10) -> int:
+    return g.n - max_linear_forest(g, cap=cap)

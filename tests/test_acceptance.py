@@ -18,9 +18,11 @@ from pathpart.graphs import (contains_k6, gen_disjoint_cliques,
 from pathpart.moves import (apply_move, eliminate_singletons, find_basic_move,
                             find_compound_move, find_derived_move,
                             find_pair_move)
-from pathpart.oracle import exact_pi_p, pi_p_via_linear_forest
+from pathpart.oracle import exact_pi_p
 from pathpart.partition import PathPartition, validate_partition
 from pathpart.solver import canonicalize, initial_partition, solve
+
+from conftest import pi_p_via_linear_forest
 
 
 def test_criterion_1_tightness_of_clique_family(tmp_path):

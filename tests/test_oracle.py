@@ -4,15 +4,16 @@ import tracemalloc
 import pytest
 from hypothesis import example, given
 
+from pathpart import oracle
 from pathpart.graphs import (Graph, gen_circulant, gen_disjoint_cliques,
                              gen_random_regular)
-from pathpart.oracle import (OracleResult, OracleUnknown, _peel, exact_pi_p,
-                             max_linear_forest, pi_p_via_linear_forest)
+from pathpart.oracle import OracleResult, OracleUnknown, _peel, exact_pi_p
 from pathpart.partition import (PathPartition, partition_to_json,
                                 validate_partition)
 from pathpart.solver import solve
 
-from conftest import complete_graph, simple_graphs
+from conftest import (complete_graph, max_linear_forest, pi_p_via_linear_forest,
+                      simple_graphs)
 
 
 def _spider(legs: int, length: int) -> Graph:
@@ -176,7 +177,10 @@ def _loop_exact_pi_p(g: Graph, budget: int = 50_000_000, cap: int = 16) -> Oracl
 
 
 def _assert_same_as_loop(g: Graph, cap: int = 16):
-    res, ref = exact_pi_p(g, cap=cap), _loop_exact_pi_p(g, cap=cap)
+    _assert_same(exact_pi_p(g, cap=cap), _loop_exact_pi_p(g, cap=cap))
+
+
+def _assert_same(res: OracleResult, ref: OracleResult):
     assert type(res.pi_p) is int and type(res.explored) is int
     assert (res.pi_p, res.explored) == (ref.pi_p, ref.explored)
     assert partition_to_json(res.witness) == partition_to_json(ref.witness)
@@ -243,3 +247,31 @@ def test_layered_dp_works_in_slabs():
     assert res.pi_p == 1
     # the full tables take 1.25 MiB; the slabs keep each pass's arrays small
     assert peak < 6 * 2**20
+
+
+# layers of 5, 9, 12 and 17 vertices split into several slabs of 3 or 7
+# subsets, most with a partial last slab; a buffer entry a narrower slab left
+# stale, or a slab running into the next layer, would change the tables
+@pytest.mark.parametrize("g,cap", [(Graph(5, [(1, 3)]), 16), (_spider(4, 2), 16),
+                                   (gen_random_regular(12, 5, seed=1), 16),
+                                   (gen_random_regular(17, 6, seed=0), 17)])
+def test_small_slabs_match_the_loop(monkeypatch, g, cap):
+    ref = _loop_exact_pi_p(g, cap=cap)
+    for slab in (3, 7):
+        monkeypatch.setattr(oracle, "SLAB", slab)
+        _assert_same(exact_pi_p(g, cap=cap), ref)
+
+
+def test_slab_buffers_keep_the_peak_at_16_vertices():
+    g = gen_random_regular(16, 6, seed=0)
+    exact_pi_p(g)  # imports numpy and lets it set up outside the traced window
+    tracemalloc.start()
+    try:
+        exact_pi_p(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # fresh (16 x 4096) arrays per slab, gathered through uint16 indices that
+    # NumPy cast to intp each time, peaked at 836,932 bytes here (NumPy 2.4);
+    # the reused buffers and the uint16 subset order must not take more
+    assert peak <= 836_932

@@ -83,7 +83,7 @@ def exact_pi_p(g: Graph, budget: int = 50_000_000, cap: int = 16) -> OracleResul
         for _ in range(n):
             size = np.concatenate((size, size + 1))
         order = np.argsort(size, kind="stable").astype(mask)
-        del size  # the peak comes with the tables and buffers below
+        del size  # freed before the tables and buffers, which make the peak
         cover = np.full(full + 1, n + 1, dtype=np.int8)
         cover[0] = 0
         ends = np.zeros(full + 1, dtype=mask)

@@ -272,6 +272,7 @@ def test_slab_buffers_keep_the_peak_at_16_vertices():
     finally:
         tracemalloc.stop()
     # fresh (16 x 4096) arrays per slab, gathered through uint16 indices that
-    # NumPy cast to intp each time, peaked at 836,932 bytes here (NumPy 2.4);
-    # the reused buffers and the uint16 subset order must not take more
+    # NumPy cast to intp each time, peaked at 836,932 bytes in this test
+    # (NumPy 2.4, 64-bit); the reused buffers and the uint16 subset order
+    # must not take more
     assert peak <= 836_932

@@ -253,14 +253,13 @@ def write_edge_list(g: Graph) -> str:
 def contains_k6(g: Graph) -> list[int] | None:
     """A 6-clique as a sorted vertex list, or None.
 
-    Any 6-clique through v lies inside v's closed neighborhood, so it is enough
-    to test the 5-subsets of each neighborhood (cheap for small degree).
+    A 6-clique lies among its least vertex v and v's larger neighbours, so it
+    is enough to test the 5-subsets of those (cheap for small degree). The
+    one returned has the least vertex of any 6-clique and, among those
+    through it, the first 5-subset in lexicographic order.
     """
     for v in range(g.n):
-        nbrs = g.adj[v]
-        if len(nbrs) < 5:
-            continue
-        for combo in itertools.combinations(nbrs, 5):
+        for combo in itertools.combinations([w for w in g.adj[v] if w > v], 5):
             if all(g.has_edge(a, b) for a, b in itertools.combinations(combo, 2)):
                 return sorted((v,) + combo)
     return None

@@ -12,8 +12,9 @@ import heapq
 from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
-from .classify import V2_CLASSES, V2A, V5, VertexClassification
+from .classify import V2_CLASSES, V2A, V5, VertexClassification, edge_is_free
 from .graphs import Graph
 from .partition import (ALONE, CYCLE, END, INNER, ON_CYCLE, PATH, SINGLETON, Component,
                         PathPartition)
@@ -430,24 +431,24 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
     target is then o1 or o2, on x1's or x2's piece, so only the branches for
     ox2 = o2 and ox2 = o1 apply, and both need an ox1 outside {o1, o2}.
 
-    Without `failures` the owners are every vertex. With them, they are the
-    vertices `failures` holds open, in ascending order, and a free edge with
-    a V2 cut pair at each end whose candidates found no move (by a view, by
-    one of those rejections, or because both cuts face outward on one path)
-    is recorded there and skipped while the record stands (see
-    `DerivedFailures`); the scan still returns the first hit in edge order.
+    The owners are the vertices `failures` holds open, in ascending order,
+    and a free edge with a V2 cut pair at each end whose candidates found no
+    move (by a view, by one of those rejections, or because both cuts face
+    outward on one path) is recorded there and skipped while the record
+    stands (see `DerivedFailures`); the scan still returns the first hit in
+    edge order. Without `failures` it runs on fresh memory: every vertex it
+    can cut at open, and no records.
     """
+    if failures is None:
+        failures = DerivedFailures(g.n)
+        failures.reopen(p, vc, range(g.n))
     cls = vc.cls
     owner = p.owner
     role = p.role
     balanced, path_ends, heavy = vc.balanced, vc.balanced_path_ends, vc.heavy
     free_nbrs = vc.free_nbrs
-    if failures is None:
-        owners = range(g.n)
-    else:
-        failed, stamp = failures.failed, failures.stamp
-        owners = failures.pop_open()
-    for a in owners:
+    failed, stamp = failures.failed, failures.stamp
+    for a in failures.pop_open():
         if cls[a] in _NO_V2_NEIGHBOUR or role[a] in _OFF_PATH:
             continue
         cuts_a = [s for s in p.path_neighbors(a) if cls[s] in V2_CLASSES]
@@ -456,7 +457,7 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
         for b in free_nbrs[a]:
             if b <= a or cls[b] in _NO_V2_NEIGHBOUR or role[b] in _OFF_PATH:
                 continue
-            if failures is not None and failed.get((a, b)) == (stamp[a], stamp[b]):
+            if failed.get((a, b)) == (stamp[a], stamp[b]):
                 continue
             cuts_b = [s for s in p.path_neighbors(b) if cls[s] in V2_CLASSES]
             # an edge with no V2 cut pair is cheaper to re-check than to watch
@@ -487,8 +488,7 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
                     if steps is not None:
                         return Move("derived", [("split_at", (sa, a)), ("split_at", (sb, b)),
                                                 ("join", (a, b))] + steps)
-            if failures is not None:
-                failures.record(g, p, a, b)
+            failures.record(g, p, a, b)
     steps = _find_dangerous_move(p, vc)
     return None if steps is None else Move("derived", steps)
 
@@ -508,12 +508,11 @@ class DerivedFailures:
     components dies or changes kind, x keeps its path neighbours and they
     keep their neighbours' components, so watch(x) and the verdict stand.
     A vertex's watch is registered once, in `watchers` (component id ->
-    (vertex, stamp) pairs), and stays until `retire` is given one of its
-    components; that drops it and bumps the vertex's `stamp`. A failed edge
-    keeps the stamps of its two ends, so it stands while
-    `failed[a, b] == (stamp[a], stamp[b])`. Whoever applies moves must call
-    `retire` with a superset of the components each move kills or re-kinds,
-    before building it (see solver.SolveState.apply).
+    (vertex, stamp) pairs), and stays until `retire` drops one of its
+    components; that bumps the vertex's `stamp`. A failed edge keeps the
+    stamps of its two ends, so it stands while
+    `failed[a, b] == (stamp[a], stamp[b])`. Whoever applies moves must pass
+    each move's steps to `retire` before building it.
 
     **Open set.** Vertex a owns the free edges (a, b) with b > a. `heap` is
     a lazily validated min-heap of open owners, marked in `is_open`; an
@@ -521,18 +520,19 @@ class DerivedFailures:
     them in ascending order, and an owner the scan moves past closes, as it
     decided each of its edges: by class or role, by a standing record, by
     having no V2 cut pair at one end, or by candidates that found no move,
-    then recorded. The owner of a hit stays open. `open_all` opens every
-    vertex once the classification is built; after that, whoever applies
-    moves must call `reopen` with the vertices `reclassify` recomputed and
-    those whose stamps `retire` bumped. Class and role change only in the
-    first, and so do path neighbours and their V2 status; a new free edge
-    has both ends there; and a record falls only with a bumped stamp.
-    `reopen` also opens each free neighbour w < v of such a vertex v, the
-    owner of the edge (w, v). Only vertices the scan can cut at (on a path,
-    neither V2a nor V5) are opened: any other owns no candidate and ends
-    none, and it is back in the region before that changes. So every
-    cuttable vertex above `top`, the highest owner a scan has closed, is
-    open, and `reopen` looks only at the neighbours w <= `top`.
+    then recorded. The owner of a hit stays open. Whoever applies moves must
+    call `reopen` with every vertex once the classification is built, and
+    after that with each region `reclassify` recomputes; `reopen` adds the
+    vertices whose stamps `retire` bumped since its last call. Class and
+    role change only in the region, and so do path neighbours and their V2
+    status; a new free edge has both ends there; and a record falls only
+    with a bumped stamp. `reopen` also opens each free neighbour w < v of
+    such a vertex v, the owner of the edge (w, v). Only vertices the scan
+    can cut at (on a path, neither V2a nor V5) are opened: any other owns no
+    candidate and ends none, and it is back in the region before that
+    changes. So every cuttable vertex above `top`, the highest owner a scan
+    has closed, is open, and `reopen` looks only at the neighbours
+    w <= `top`.
     """
 
     def __init__(self, n: int):
@@ -540,6 +540,7 @@ class DerivedFailures:
         self.stamp = [0] * n
         self.watched = [False] * n
         self.watchers: dict[int, list[tuple[int, int]]] = {}
+        self.bumped: list[int] = []  # by `retire` since the last `reopen`
         self.heap: list[int] = []
         self.is_open = [False] * n
         self.top = -1  # the highest owner a scan has closed
@@ -560,18 +561,27 @@ class DerivedFailures:
                 watchers.setdefault(cid, []).append(entry)
         self.failed[a, b] = (stamp[a], stamp[b])
 
-    def retire(self, cids) -> list[int]:
-        """Drop every watch that reads one of the components `cids`; returns
-        the vertices whose stamps this bumped."""
-        stamp, watched, watchers = self.stamp, self.watched, self.watchers
-        bumped = []
-        for cid in cids:
+    def retire(self, p: PathPartition, steps) -> None:
+        """Drop every watch that reads a component the move of these steps
+        may kill or re-kind, on p before the move is built.
+
+        Those are taken as the components of every vertex the steps name, a
+        superset: every primitive acts on the component of a vertex it
+        names, and a component that stood before the move still holds the
+        same vertices when a step reaches it. Each dropped watch bumps its
+        vertex's stamp, and the bumped vertices wait for the next `reopen`.
+        While no watch is registered nothing is worked out.
+        """
+        watchers = self.watchers
+        if not watchers:
+            return
+        stamp, watched, bumped, owner = self.stamp, self.watched, self.bumped, p.owner
+        for cid in {owner[x] for _, args in steps for x in args}:
             for x, s in watchers.pop(cid, ()):
                 if s == stamp[x]:
                     stamp[x] = s + 1
                     watched[x] = False
                     bumped.append(x)
-        return bumped
 
     def pop_open(self):
         """Yield the open vertices in ascending order, closing each once the
@@ -587,19 +597,15 @@ class DerivedFailures:
                     self.top = v
             heapq.heappop(heap)
 
-    def open_all(self, p: PathPartition, vc: VertexClassification) -> None:
-        """Open every vertex the scan can cut at."""
-        self.is_open = [c not in _NO_V2_NEIGHBOUR and r not in _OFF_PATH
-                        for c, r in zip(vc.cls, p.role)]
-        self.heap = [v for v, flag in enumerate(self.is_open) if flag]  # sorted, hence a heap
-
     def reopen(self, p: PathPartition, vc: VertexClassification, vertices) -> None:
-        """Open each vertex v given and each free neighbour w < v of it that
-        the scan can cut at; close each v given that it cannot."""
+        """Open each vertex v given or bumped since the last call, and each
+        free neighbour w < v of it, that the scan can cut at; close each
+        such v that it cannot."""
         heap, is_open, top = self.heap, self.is_open, self.top
         cls, role, free_nbrs = vc.cls, p.role, vc.free_nbrs
         no_v2, off_path = _NO_V2_NEIGHBOUR, _OFF_PATH
-        for v in vertices:
+        bumped, self.bumped = self.bumped, []
+        for v in chain(vertices, bumped):
             if cls[v] in no_v2 or role[v] in off_path:
                 is_open[v] = False
                 continue
@@ -881,9 +887,7 @@ def _compound_dfs(g, state, phi0, remaining, focus, budget):
     for u, v in g.edges:
         if focus is not None and u not in focus and v not in focus:
             continue
-        if state.part_adjacent(u, v):
-            continue
-        if state.role[u] == ON_CYCLE and state.owner[u] == state.owner[v]:
+        if not edge_is_free(state, u, v):
             continue
         for step in _edge_steps(state, u, v):
             if budget[0] <= 0:

@@ -174,13 +174,6 @@ class PathPartition:
             return (verts[i - 1],)
         return (verts[1],) if len(verts) > 1 else ()
 
-    def part_adjacent(self, u: int, v: int) -> bool:
-        if self.owner[u] != self.owner[v]:
-            return False
-        d = abs(self.pos[u] - self.pos[v])
-        return d == 1 or (self.role[u] == ON_CYCLE
-                          and d == len(self.components[self.owner[u]].vertices) - 1)
-
     def sorted_ids(self) -> list[int]:
         return sorted(self.components)
 

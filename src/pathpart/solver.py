@@ -6,6 +6,7 @@ import heapq
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import moves
 from .classify import (VertexClassification, classify_edges, classify_vertices,
@@ -104,17 +105,11 @@ class SolveState:
     a singleton (only a split makes one, and the cut pair is touched), so the
     first valid entry is the one a scan of E, of the components or of the
     roles would find.
-    The derived scan's memory is a `moves.DerivedFailures`: failure records,
-    each standing until a move retires a component its verdict read, and the
-    open vertices, the only ones the scan walks. Before building a move,
-    `apply` retires the component of every vertex its steps name. That is a
-    superset of the components the move kills or re-kinds: every primitive
-    acts on the component of a vertex it names, and a component that stood
-    before the move still holds the same vertices when a step reaches it.
-    While no watch is registered this is skipped. The vertices whose stamps
-    it bumped wait in `bumped` for the next read, which re-opens them, the
-    region `reclassify` recomputed, and each free neighbour w < v of any of
-    them; the first read opens every vertex.
+    The derived scan's memory is a `moves.DerivedFailures`: `apply` hands it
+    each move's steps before building the move (see
+    `DerivedFailures.retire`), the first read of the classification opens
+    every vertex there, and each later read re-opens the region
+    `reclassify` recomputed.
     """
 
     def __init__(self, g: Graph, p: PathPartition):
@@ -124,16 +119,16 @@ class SolveState:
         self.paths = sorted(cid for cid, c in p.components.items() if c.kind == PATH)
         self.singletons = [v for v in range(g.n) if p.role[v] == ALONE]
         self.dirty: set[int] = set()
-        self.bumped: set[int] = set()
         self.vc: VertexClassification | None = None
         self.derived_failures = moves.DerivedFailures(g.n)
+        # the heap peeks' validity tests
+        self._is_join = lambda edge: moves.joinable(p, *edge)
+        self._is_closable = partial(moves.closable, g, p)
+        self._is_singleton = lambda v: p.role[v] == ALONE
 
     def apply(self, mv: moves.Move) -> list[tuple]:
         """Build the move on the live partition; returns its primitives."""
-        failures = self.derived_failures
-        if failures.watchers:
-            owner = self.p.owner
-            self.bumped.update(failures.retire({owner[x] for _, args in mv.steps for x in args}))
+        self.derived_failures.retire(self.p, mv.steps)
         prims, touched = moves.apply_move(self.g, self.p, mv)
         self.dirty |= touched
         if self.p.singleton_count():
@@ -162,43 +157,25 @@ class SolveState:
                     yield (v, x) if v < x else (x, v)
 
     def first_join(self) -> tuple[int, int] | None:
-        while self.joins:
-            edge = self.joins[0]
-            if moves.joinable(self.p, *edge):
-                return edge
-            heapq.heappop(self.joins)
-        return None
+        return _first_valid(self.joins, self._is_join)
 
     def first_closable(self) -> int | None:
-        while self.paths:
-            if moves.closable(self.g, self.p, self.paths[0]):
-                return self.paths[0]
-            heapq.heappop(self.paths)
-        return None
+        return _first_valid(self.paths, self._is_closable)
 
     def first_singleton(self) -> int | None:
-        role = self.p.role
-        while self.singletons:
-            if role[self.singletons[0]] == ALONE:
-                return self.singletons[0]
-            heapq.heappop(self.singletons)
-        return None
+        return _first_valid(self.singletons, self._is_singleton)
 
     def classification(self) -> VertexClassification:
         """The live partition's classification."""
         g, p = self.g, self.p
         if self.vc is None:
             self.vc = classify_vertices(g, p, classify_edges(g, p))
-            self.derived_failures.open_all(p, self.vc)
+            self.derived_failures.reopen(p, self.vc, range(g.n))
         elif self.dirty:
             nbrs = self.vc.free_nbrs
             for v in self.dirty:
                 nbrs[v] = [w for w in g.adj[v] if edge_is_free(p, v, w)]
-            failures = self.derived_failures
-            failures.reopen(p, self.vc, reclassify(g, p, self.vc, self.dirty))
-            if self.bumped:
-                failures.reopen(p, self.vc, self.bumped)
-                self.bumped = set()
+            self.derived_failures.reopen(p, self.vc, reclassify(g, p, self.vc, self.dirty))
         self.dirty = set()
         return self.vc
 
@@ -219,6 +196,16 @@ class SolveState:
         if (moves.find_derived_move(g, p, vc, self.derived_failures)
                 != moves.find_derived_move(g, p, vc)):
             raise moves.MoveEngineError("derived-scan memory diverged from a full scan")
+
+
+def _first_valid(heap: list, valid):
+    """The least entry of `heap` that passes `valid`, popping the entries
+    below it, which fail; None once the heap is empty."""
+    while heap:
+        if valid(heap[0]):
+            return heap[0]
+        heapq.heappop(heap)
+    return None
 
 
 def _next_move(g: Graph, p: PathPartition, state: SolveState) -> moves.Move | None:

@@ -5,16 +5,17 @@ recorded failures still stand, returns the move a full scan returns.
 Hand-built partitions pin the candidates rejected before any view and an
 edge that a split elsewhere decides again."""
 
+import copy
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathpart import moves
-from pathpart.classify import classify_edges, classify_vertices
+from pathpart.classify import V2A, V5, classify_edges, classify_vertices
 from pathpart.graphs import Graph, gen_circulant, gen_disjoint_cliques
 from pathpart.moves import MoveEngineError, _Builder, _find_dangerous_move
-from pathpart.partition import CYCLE, PATH, SINGLETON, PathPartition
+from pathpart.partition import ALONE, CYCLE, ON_CYCLE, PATH, SINGLETON, PathPartition
 from pathpart.solver import SolveState, canonicalize, initial_partition
 
 from conftest import draw_start, legal_primitives, step_for, switched
@@ -222,7 +223,7 @@ _apply_move = moves.apply_move  # the solves below run under a patched one
 def _build_checked(g, p, mv):
     """Build mv on p, asserting that every component it removes, re-kinds or
     rewrites was, before the move, the owner of a vertex its steps name:
-    the superset `SolveState.apply` retires from the failure records."""
+    the superset `DerivedFailures.retire` drops watches on."""
     before = {cid: (c.kind, list(c.vertices)) for cid, c in p.components.items()}
     named = {p.owner[x] for _, args in mv.steps for x in args}
     built = _apply_move(g, p, mv)
@@ -319,7 +320,7 @@ def test_one_shared_target_is_rejected_without_a_view(monkeypatch, paths, cycles
     assert moves._plan_reconnection(moves._CutView(p, sa, a, sb, b), sa, sb, vc) is None
     views = _record_views(monkeypatch)
     failures = moves.DerivedFailures(g.n)
-    failures.open_all(p, vc)
+    failures.reopen(p, vc, range(g.n))
     assert moves.find_derived_move(g, p, vc, failures) == _built_derived_move(g, p, vc)
     assert views == []
     # the rejected edge is recorded like an edge whose views all failed
@@ -338,7 +339,7 @@ def test_an_end_with_no_path_end_target_is_rejected_without_a_view(monkeypatch):
     assert moves._plan_reconnection(moves._CutView(p, sa, a, sb, b), sa, sb, vc) is None
     views = _record_views(monkeypatch)
     failures = moves.DerivedFailures(g.n)
-    failures.open_all(p, vc)
+    failures.reopen(p, vc, range(g.n))
     assert moves.find_derived_move(g, p, vc, failures) == _built_derived_move(g, p, vc)
     assert views == []
     assert failures.failed[min(a, b), max(a, b)] == (failures.stamp[a], failures.stamp[b])
@@ -373,7 +374,7 @@ def test_targets_that_all_end_the_one_path_are_rejected_without_a_view(monkeypat
     assert moves._plan_reconnection(moves._CutView(p, sa, a, sb, b), sa, sb, vc) is None
     views = _record_views(monkeypatch)
     failures = moves.DerivedFailures(g.n)
-    failures.open_all(p, vc)
+    failures.reopen(p, vc, range(g.n))
     assert moves.find_derived_move(g, p, vc, failures) == _built_derived_move(g, p, vc)
     assert views == []
     assert failures.failed[min(a, b), max(a, b)] == (failures.stamp[a], failures.stamp[b])
@@ -390,6 +391,49 @@ def test_a_second_target_keeps_the_candidate(monkeypatch):
     assert mv == _built_derived_move(g, p, vc)
     assert mv.steps[3:] == [("attach", (sb, t)), ("attach", (sa, t2))]
     assert views == [(sa, a, sb, b)]
+
+
+def _watch(g, p, x):
+    """x's own component and those of the graph neighbours of its path neighbours."""
+    return {p.owner[x]} | {p.owner[w] for s in p.path_neighbors(x) for w in g.adj[s]}
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_retire_then_reopen_opens_exactly_the_bumped_watchers_that_can_be_cut_at(data):
+    if data.draw(st.booleans(), label="perturbed cliques"):
+        g, p = _draw_perturbed_cliques(data)
+    else:
+        g, p = draw_start(data)
+    vc = classify_vertices(g, p, classify_edges(g, p))
+    failures = moves.DerivedFailures(g.n)
+    edges = list(vc.free_edges())
+    for a, b in data.draw(st.lists(st.sampled_from(edges)) if edges else st.just([]),
+                          label="recorded edges"):
+        failures.record(g, p, a, b)
+    watching = {x for a, b in failures.failed for x in (a, b)}
+    prim = data.draw(st.sampled_from(legal_primitives(g, p)), label="primitive")
+    steps = [step_for(p, prim)]
+    named = {p.owner[x] for _, args in steps for x in args}
+    bumped = {x for x in watching if _watch(g, p, x) & named}
+    failures.retire(p, steps)
+    assert {x for x in range(g.n) if failures.stamp[x]} == bumped
+    failures.reopen(p, vc, ())
+    assert {x for x in range(g.n) if failures.is_open[x]} == {
+        x for x in bumped
+        if vc.cls[x] not in (V2A, V5) and p.role[x] not in (ON_CYCLE, ALONE)}
+    assert failures.bumped == []
+
+
+def test_retire_with_no_watch_registered_changes_nothing():
+    g = switched(gen_circulant(60, [1, 2, 3]), 6, seed=1)
+    p = initial_partition(g)
+    failures = moves.DerivedFailures(g.n)
+    failures.reopen(p, classify_vertices(g, p, classify_edges(g, p)), range(g.n))
+    before = copy.deepcopy(vars(failures))
+    for prim in legal_primitives(g, p):
+        failures.retire(p, [step_for(p, prim)])
+    assert vars(failures) == before
 
 
 def test_a_record_stands_until_a_move_retires_a_component_it_watches():

@@ -217,9 +217,7 @@ def test_the_derived_scan_walks_a_vertex_again_only_once_it_reopens(monkeypatch)
         return mv
 
     monkeypatch.setattr(moves.DerivedFailures, "pop_open", walked)
-    for name in ("open_all", "reopen"):
-        monkeypatch.setattr(moves.DerivedFailures, name,
-                            tracked(getattr(moves.DerivedFailures, name)))
+    monkeypatch.setattr(moves.DerivedFailures, "reopen", tracked(moves.DerivedFailures.reopen))
     monkeypatch.setattr(moves, "find_derived_move", scan)
     report = solve(_perturbed_cliques())
     assert report.move_counts == {"basic": 7, "derived": 4, "pair": 1}

@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pathpart.graphs import (EdgeListParseError, GenerationError, Graph,
                              GraphError, contains_k6, gen_circulant,
@@ -164,6 +166,34 @@ def test_contains_k6_in_clique_family():
 def test_contains_k6_negative(petersen):
     assert contains_k6(petersen) is None
     assert contains_k6(gen_complete_bipartite(5)) is None
+
+
+def _first_k6_by_enumeration(g):
+    """The lexicographically first 6-clique over all 6-subsets of the vertices."""
+    return next((list(c) for c in itertools.combinations(range(g.n), 6)
+                 if all(g.has_edge(a, b) for a, b in itertools.combinations(c, 2))), None)
+
+
+def test_contains_k6_finds_the_clique_through_the_least_vertex_it_can():
+    # the K6 on 2..7 has least vertex 2, whose neighbours 0 and 1 lie outside
+    # it; 0 and 1 each close a K5 with 2..5 but lie in no K6
+    edges = list(itertools.combinations(range(2, 8), 2))
+    edges += [(x, y) for x in (0, 1) for y in (2, 3, 4, 5)]
+    g = Graph(9, edges + [(7, 8), (0, 8)])
+    assert _first_k6_by_enumeration(g) == [2, 3, 4, 5, 6, 7]
+    assert contains_k6(g) == [2, 3, 4, 5, 6, 7]
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_contains_k6_returns_the_first_clique_of_an_exhaustive_enumeration(data):
+    g = data.draw(simple_graphs(12), label="graph")
+    if g.n >= 6 and data.draw(st.booleans(), label="plant a K6"):
+        clique = data.draw(st.lists(st.integers(0, g.n - 1), min_size=6, max_size=6,
+                                    unique=True), label="K6")
+        g = Graph(g.n, set(g.edges) | {tuple(sorted(e))
+                                       for e in itertools.combinations(clique, 2)})
+    assert contains_k6(g) == _first_k6_by_enumeration(g)
 
 
 def test_presets():

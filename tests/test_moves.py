@@ -186,6 +186,69 @@ def test_pair_external_targets_merge():
     assert p.component_count() == 1
 
 
+# Every cell of the pair-exchange table, on path 0..5 with the adjacent V2
+# pair a = 2, b = 3 (o1 = 0, o2 = 5), external path 6-7, and cycles 8-9-10
+# and 11-12-13. Each case names a's and b's one balanced target.
+_PAIR_FRAME = _chain(0, 5) + [(6, 7)] + _chain(8, 10) + [(8, 10)] + _chain(11, 13) + [(11, 13)]
+_SPLIT = ("split", 0, 2, 3)
+
+
+@pytest.mark.parametrize("ta, tb, prims", [
+    (0, 0, None),
+    (0, 5, None),
+    (0, 8, None),
+    (0, 6, [_SPLIT, ("close", 4), ("join", 3, 6)]),
+    (5, 0, [_SPLIT, ("join", 2, 5), ("close", 6)]),
+    (5, 5, None),
+    (5, 8, [_SPLIT, ("join", 2, 5), ("open", 2, 8, 9), ("join", 3, 8)]),
+    (5, 6, [_SPLIT, ("join", 2, 5), ("join", 3, 6)]),
+    (8, 0, [_SPLIT, ("join", 3, 0), ("open", 2, 8, 9), ("join", 2, 8)]),
+    (8, 5, None),
+    (8, 9, [("open", 2, 8, 9), _SPLIT, ("join", 2, 8), ("join", 3, 9)]),
+    (8, 8, None),
+    (8, 11, [_SPLIT, ("open", 2, 8, 9), ("join", 2, 8), ("open", 3, 11, 12), ("join", 3, 11)]),
+    (8, 6, [_SPLIT, ("open", 2, 8, 9), ("join", 2, 8), ("join", 3, 6)]),
+    (6, 0, [_SPLIT, ("join", 3, 0), ("join", 2, 6)]),
+    (6, 5, [_SPLIT, ("join", 2, 6), ("close", 5)]),
+    (6, 8, [_SPLIT, ("join", 2, 6), ("open", 2, 8, 9), ("join", 3, 8)]),
+    (6, 6, None),
+    (6, 7, [_SPLIT, ("join", 2, 6), ("join", 3, 7)]),
+], ids=["o1-o1", "o1-o2", "o1-cyc", "o1-ext", "o2-o1", "o2-o2", "o2-cyc", "o2-ext",
+        "cyc-o1", "cyc-o2", "cyc-cyc-adjacent", "cyc-cyc-same-vertex",
+        "cyc-cyc-two-cycles", "cyc-ext", "ext-o1", "ext-o2", "ext-cyc",
+        "ext-ext-same-end", "ext-ext-two-ends"])
+def test_pair_exchange_builds_each_cell_of_its_table(ta, tb, prims):
+    g = Graph(14, _PAIR_FRAME + [(2, ta), (3, tb)])
+    p = PathPartition.from_lists(14, paths=[list(range(6)), [6, 7]],
+                                 cycles=[[8, 9, 10], [11, 12, 13]])
+    assert find_basic_move(g, p) is None
+    mv = find_pair_move(g, p, _classified(g, p))
+    if prims is None:
+        assert mv is None
+        return
+    phi = p.potential()
+    assert apply_move(g, p, mv)[0] == prims
+    assert validate_partition(g, p)[0] and p.potential() < phi
+
+
+@pytest.mark.parametrize("n, edges, comps, absorb", [
+    (6, [(4, 5)], {"paths": [[1, 2, 3], [4, 5]], "singletons": [0]}, [("join", 1, 4)]),
+    (5, [], {"paths": [[1, 2, 3]], "singletons": [0, 4]}, [("join", 1, 4)]),
+    (7, [(4, 5), (5, 6), (4, 6)], {"paths": [[1, 2, 3]], "cycles": [[4, 5, 6]],
+                                   "singletons": [0]},
+     [("open", 1, 4, 5), ("join", 1, 4)]),
+], ids=["end", "singleton", "cycle"])
+def test_singleton_absorbed_outright_after_a_shift(n, edges, comps, absorb):
+    # singleton 0 sees only the middle of path 1-2-3 (id 0); shifting it
+    # there pops 1, which vertex 4 (component id 1) absorbs outright
+    g = Graph(n, [(1, 2), (2, 3), (0, 2), (1, 4)] + edges)
+    p = PathPartition.from_lists(n, **comps)
+    phi = p.potential()
+    mv = eliminate_singletons(g, p)
+    assert apply_move(g, p, mv)[0] == [("split", 0, 1, 2), ("join", 0, 2)] + absorb
+    assert validate_partition(g, p)[0] and p.potential() < phi
+
+
 def test_compound_depth1_matches_basic_on_singleton_free_states():
     checked = 0
     for d, n, seed in itertools.product((6, 5), (14, 24), range(6)):

@@ -1,6 +1,8 @@
 """Hand-built configurations for the dangerous-vertex and splitting-inner
 rewirings, which random fuzzing essentially never reaches."""
 
+import pytest
+
 from pathpart import moves
 from pathpart.classify import classify_edges, classify_vertices
 from pathpart.graphs import Graph
@@ -140,3 +142,55 @@ def test_splitting_inners_with_heavy_after_the_pair():
     _apply_and_check(g, p, mv)
     assert p.component_count() == before[0]
     assert p.cycle_count() == before[1] + 1
+
+
+# The dangerous base with a cycle 16-17-18 and a path 19-20 to aim at: x1 = 2
+# is heavy, v3 = 3 dangerous, y1 = 4, u = 6 and x2 = 7, with o1 = 0 and o2 = 9.
+# Each case gives y1's and x2's balanced edges; component ids are 0 for the
+# long path, 1-3 for the heaviness paths, 4 for 19-20 and 5 for the cycle.
+_DANGEROUS_FRAME = _dangerous_base() + [(16, 17), (17, 18), (16, 18), (19, 20)]
+
+
+@pytest.mark.parametrize("edges, prims", [
+    ([(7, 0), (4, 0), (4, 9)],
+     [("split", 0, 3, 4), ("split", 7, 6, 7), ("join", 7, 0), ("join", 3, 6), ("close", 11)]),
+    ([(7, 0), (4, 0), (4, 19)],
+     [("split", 0, 3, 4), ("split", 7, 6, 7), ("join", 7, 0), ("join", 3, 6), ("join", 4, 19)]),
+    ([(7, 0), (4, 0), (4, 16)],
+     [("split", 0, 3, 4), ("split", 7, 6, 7), ("join", 7, 0), ("join", 3, 6),
+      ("open", 5, 16, 17), ("join", 4, 16)]),
+    ([(7, 16), (4, 9), (4, 17)],
+     [("split", 0, 3, 4), ("split", 7, 6, 7), ("join", 3, 6), ("join", 4, 9),
+      ("open", 5, 16, 17), ("join", 7, 16)]),
+    ([(7, 16), (4, 19), (4, 17)],
+     [("split", 0, 3, 4), ("split", 7, 6, 7), ("join", 3, 6), ("join", 4, 19),
+      ("open", 5, 16, 17), ("join", 7, 16)]),
+    ([(7, 16), (4, 0), (4, 17)],
+     [("split", 0, 2, 3), ("split", 7, 3, 4), ("split", 9, 6, 7), ("join", 2, 10),
+      ("join", 4, 0), ("join", 3, 6), ("open", 5, 16, 17), ("join", 7, 16)]),
+    ([(7, 19), (4, 9), (4, 17)],
+     [("split", 0, 2, 3), ("split", 7, 6, 7), ("close", 8), ("join", 2, 10), ("join", 7, 19)]),
+    ([(7, 9), (4, 9), (4, 19)],
+     [("split", 0, 3, 4), ("split", 7, 6, 7), ("join", 3, 6), ("join", 4, 19), ("close", 9)]),
+    ([(7, 9), (4, 0), (4, 9)],
+     [("split", 0, 2, 3), ("split", 7, 3, 4), ("split", 9, 6, 7), ("join", 2, 10),
+      ("join", 4, 0), ("join", 3, 6), ("close", 11)]),
+    ([(7, 9), (4, 9), (4, 16)], None),
+], ids=["x2-near-end-y1-closes", "x2-near-end-y1-to-an-end", "x2-near-end-y1-to-a-cycle",
+        "x2-cycle-y1-far-end", "x2-cycle-y1-outside-end", "x2-cycle-y1-near-end",
+        "x2-outside-end", "x2-anchored-y1-outside-end", "x2-anchored-y1-near-end",
+        "x2-anchored-y1-anchored"])
+def test_dangerous_rewiring_builds_exact_primitives(edges, prims):
+    g = Graph(21, _DANGEROUS_FRAME + edges)
+    p = PathPartition.from_lists(
+        21, paths=[list(range(10)), [10, 11], [12, 13], [14, 15], [19, 20]],
+        cycles=[[16, 17, 18]])
+    vc = _classified(g, p)
+    assert 3 in vc.dangerous and 2 in vc.heavy
+    steps = moves._find_dangerous_move(p, vc)
+    if prims is None:
+        assert steps is None
+        return
+    phi = p.potential()
+    assert apply_move(g, p, moves.Move("derived", steps))[0] == prims
+    assert validate_partition(g, p)[0] and p.potential() < phi

@@ -43,7 +43,8 @@ class SingletonEliminationError(MoveEngineError):
 class Move:
     """A decided move: `_Builder` steps that name vertices, e.g.
     `("split_at", (a, b))`, `("join", (u, v))`, `("close_of", (v,))` or
-    `("attach", (u, t))`. Nothing is built until `apply_move` runs them."""
+    `("attach", (u, t))`, a join that first opens t's cycle when t is on one.
+    Nothing is built until `apply_move` runs them."""
 
     kind: str
     steps: list[tuple]
@@ -159,8 +160,7 @@ class _Builder:
 
     def open_at(self, v: int) -> None:
         # cut the cycle edge toward v's smaller cyclic neighbor; v becomes an end
-        nb = min(self.p.path_neighbors(v))
-        self._do(("open", self.p.owner[v], v, nb))
+        self.open_edge(v, min(self.p.path_neighbors(v)))
 
     def open_edge(self, a: int, b: int) -> None:
         self._do(("open", self.p.owner[a], a, b))
@@ -169,7 +169,8 @@ class _Builder:
         self._do(("close", self.p.owner[v]))
 
     def attach(self, u: int, t: int) -> None:
-        """Join u to t, opening t's cycle first when needed. Consumes edge (u, t)."""
+        """Join u to t, opening t's cycle first when t is on one; at a path
+        end or a singleton this is a plain join. Consumes edge (u, t)."""
         if self.p.role[t] == ON_CYCLE:
             self.open_at(t)
         self.join(u, t)
@@ -283,6 +284,18 @@ def eliminate_singletons(g: Graph, p: PathPartition, candidates=None) -> Move | 
         f"no absorbing position reachable from singleton {v0}")
 
 
+# -- steps the catalog shares -------------------------------------------------
+
+def _first_outside(targets, exclude):
+    """The first of `targets` not in `exclude`, or None."""
+    return next((t for t in targets if t not in exclude), None)
+
+
+def _attach_or_close(x, t, far):
+    """The step that attaches x to t, or closes x's piece when t is its far end."""
+    return ("close_of", (x,)) if t == far else ("attach", (x, t))
+
+
 # -- derived moves -------------------------------------------------------------
 
 class _CutView:
@@ -332,10 +345,6 @@ class _CutView:
             return self.ends[1] if v == self.ends[0] else self.ends[0]
         return self._far(seg, v)
 
-    def is_cycle(self, v: int) -> bool:
-        """v's component is a cycle (the cuts and the join touch only paths)."""
-        return self.p.role[v] == ON_CYCLE
-
 
 def _plan_reconnection(view: _CutView, w1: int, w2: int,
                          vc: VertexClassification) -> list[tuple] | None:
@@ -348,47 +357,35 @@ def _plan_reconnection(view: _CutView, w1: int, w2: int,
     if w2 in vc.heavy and w1 not in vc.heavy:
         w1, w2 = w2, w1
     x1, x2 = w1, w2
-    q1 = view.owner(x1)
     t1 = vc.balanced_path_ends.get(x1, [])
     t2 = vc.balanced_targets(x2)
-    if view.owner(x2) == q1:
-        # both new ends on one piece (or a single popped vertex)
+    if view.owner(x2) == view.owner(x1):
+        # both new ends on one piece (or a single popped vertex); its vertices
+        # were path interiors, so no target lies on it
         for ox2 in t2:
             c2 = view.owner(ox2)
-            if c2 == q1:
-                continue
-            for ox1 in t1:
-                if ox1 == ox2 or view.owner(ox1) in (q1, c2):
-                    continue
+            ox1 = next((t for t in t1 if view.owner(t) != c2), None)
+            if ox1 is not None:
                 return [("attach", (x2, ox2)), ("attach", (x1, ox1))]
         return None
-    q2 = view.owner(x2)
+    # a piece's only targets are its ends, so a target on x1's or x2's piece
+    # is its far end
     o1 = view.other_end(x1)
     o2 = view.other_end(x2)
     for ox2 in t2:
-        c2 = view.owner(ox2)
-        if c2 == q2:
-            # ox2 == o2: the x2 piece closes into a cycle; merge the x1 piece away
-            ox1 = next((t for t in t1 if t not in (o1, o2)), None)
-            if ox1 is None:
-                continue
-            return [("close_of", (x2,)), ("attach", (x1, ox1))]
-        if c2 == q1:
-            # ox2 == o1: chain the two pieces, then merge outward
-            ox1 = next((t for t in t1 if t not in (o1, o2)), None)
-            if ox1 is None:
-                continue
-            return [("join", (x2, ox2)), ("attach", (x1, ox1))]
+        if ox2 in (o1, o2):
+            # the x2 piece closes into a cycle (o2) or chains onto the x1
+            # piece (o1); either way merge the x1 piece away
+            ox1 = _first_outside(t1, (o1, o2))
+            if ox1 is not None:
+                return [("close_of", (x2,)) if ox2 == o2 else ("join", (x2, ox2)),
+                        ("attach", (x1, ox1))]
+            continue
         # closing the x1 piece only pays when no cycle was spent absorbing the
         # x2 piece, so demand a plain join target in that case
-        if view.is_cycle(ox2):
-            ox1 = next((t for t in t1 if t not in (ox2, o1)), None)
-        else:
-            ox1 = next((t for t in t1 if t != ox2), None)
-        if ox1 is None:
-            continue
-        return [("attach", (x2, ox2)),
-                ("close_of", (x1,)) if ox1 == o1 else ("attach", (x1, ox1))]
+        ox1 = _first_outside(t1, (ox2, o1) if view.p.role[ox2] == ON_CYCLE else (ox2,))
+        if ox1 is not None:
+            return [("attach", (x2, ox2)), _attach_or_close(x1, ox1, o1)]
     return None
 
 
@@ -443,8 +440,7 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
         failures = DerivedFailures(g.n)
         failures.reopen(p, vc, range(g.n))
     cls = vc.cls
-    owner = p.owner
-    role = p.role
+    owner, pos, role = p.owner, p.pos, p.role
     balanced, path_ends, heavy = vc.balanced, vc.balanced_path_ends, vc.heavy
     free_nbrs = vc.free_nbrs
     failed, stamp = failures.failed, failures.stamp
@@ -467,17 +463,15 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
             if same:
                 verts = p.components[owner[a]].vertices
                 tips = (verts[0], verts[-1])
+                # the positions of a's and b's path neighbours facing away from each other
+                step = 1 if pos[a] < pos[b] else -1
+                away_a, away_b = pos[a] - step, pos[b] + step
             for sa in cuts_a:
                 for sb in cuts_b:
                     ta, tb = balanced[sa], balanced[sb]
-                    if same:
-                        pa, pb = p.pos[a], p.pos[b]
-                        lo_v, lo_p, hi_v, hi_p = (a, pa, b, pb) if pa < pb else (b, pb, a, pa)
-                        s_lo = sa if lo_v == a else sb
-                        s_hi = sb if lo_v == a else sa
-                        # both cuts facing outward would close the middle into a cycle
-                        if p.pos[s_lo] < lo_p and p.pos[s_hi] > hi_p:
-                            continue
+                    # both cuts facing outward would close the middle into a cycle
+                    if same and pos[sa] == away_a and pos[sb] == away_b:
+                        continue
                     if len(ta) == 1 and ta == tb:
                         continue  # one shared target: no plan (see the docstring)
                     if not path_ends[sb if sb in heavy and sa not in heavy else sa]:
@@ -649,72 +643,53 @@ def _find_dangerous_move(p, vc):
                 x2 = v2nb[0]
                 if (p.pos[x2] - p.pos[u]) * sign <= 0:
                     continue
-                steps = (_stray_inner_anchor_move(p, vc, v3, x1, y1, u, x2, o1, o2)
-                         or _stray_far_neighbor_move(vc, v3, x1, y1, u, x2, o1, o2))
+                steps = _stray_move(p, vc, v3, x1, y1, u, x2, o1, o2)
                 if steps:
                     return steps
     return None
 
 
-def _heavy_external_target(vc, x1, exclude):
-    return next((t for t in vc.balanced_path_ends.get(x1, []) if t not in exclude), None)
+def _stray_move(p, vc, v3, x1, y1, u, x2, o1, o2):
+    """The rewiring for x2's first balanced target t other than o2, or, if
+    x2 has none (its one target is o2), for y1's first balanced path end ty
+    other than o2; None if y1 has none either.
 
-
-def _stray_inner_anchor_move(p, vc, v3, x1, y1, u, x2, o1, o2):
-    # every balanced edge of x2 must go to o2
-    for t in vc.balanced_targets(x2):
-        if t == o2:
-            continue
-        if t == o1:
-            # rotate the path so y1 becomes an end, then use a spare balanced edge of y1
-            s = next((s for s in vc.balanced_targets(y1) if s != o1), None)
-            if s is None:
-                return None
-            return [("split_at", (v3, y1)), ("split_at", (u, x2)), ("join", (x2, o1)),
-                    ("join", (v3, u)),
-                    ("close_of", (y1,)) if s == o2 else ("attach", (y1, s))]
-        if p.role[t] == ON_CYCLE:
-            oy = next(iter(vc.balanced_path_ends.get(y1, [])), None)
-            if oy is None:
-                return None
-            if oy != o1:
-                return [("split_at", (v3, y1)), ("split_at", (u, x2)), ("join", (v3, u)),
-                        ("join", (y1, oy)), ("attach", (x2, t))]
-            ox1 = _heavy_external_target(vc, x1, (o1, o2))
-            if ox1 is None:
-                return None
-            return [("split_at", (x1, v3)), ("split_at", (v3, y1)), ("split_at", (u, x2)),
-                    ("join", (x1, ox1)), ("join", (y1, o1)), ("join", (v3, u)),
-                    ("attach", (x2, t))]
-        # t is an end of an external path: free the middle as a new cycle
-        ox1 = _heavy_external_target(vc, x1, (o1, t))
-        if ox1 is None:
+    x1 is heavy, with at least three balanced path ends, so one lies outside
+    any two vertices. y1 is moderate (a heavy vertex is too), with a balanced
+    path end and a target besides o1.
+    """
+    t = _first_outside(vc.balanced_targets(x2), (o2,))
+    if t == o1:
+        # rotate the path so y1 becomes an end, then use a spare balanced edge of y1
+        s = _first_outside(vc.balanced_targets(y1), (o1,))
+        return [("split_at", (v3, y1)), ("split_at", (u, x2)), ("join", (x2, o1)),
+                ("join", (v3, u)), _attach_or_close(y1, s, o2)]
+    if t is None:
+        # x2 anchored to o2 closes its piece; y1 must reach past o2
+        t, ty = o2, _first_outside(vc.balanced_path_ends[y1], (o2,))
+        if ty is None:
             return None
+    elif p.role[t] == ON_CYCLE:
+        ty = vc.balanced_path_ends[y1][0]
+    else:
+        # t is an end of an external path: free the middle as a new cycle
+        ox1 = _first_outside(vc.balanced_path_ends[x1], (o1, t))
         return [("split_at", (x1, v3)), ("split_at", (u, x2)), ("close_of", (v3,)),
                 ("join", (x1, ox1)), ("join", (x2, t))]
-    return None
-
-
-def _stray_far_neighbor_move(vc, v3, x1, y1, u, x2, o1, o2):
-    # given x2 anchored to o2, y1's balanced path edges must also go to o2
-    if o2 not in vc.balanced_targets(x2):
-        return None
-    for t in vc.balanced_path_ends.get(y1, []):
-        if t == o2:
-            continue
-        if t != o1:
-            return [("split_at", (v3, y1)), ("split_at", (u, x2)), ("join", (v3, u)),
-                    ("join", (y1, t)), ("close_of", (x2,))]
-        ox1 = _heavy_external_target(vc, x1, (o1, o2))
-        if ox1 is None:
-            return None
-        return [("split_at", (x1, v3)), ("split_at", (v3, y1)), ("split_at", (u, x2)),
-                ("join", (x1, ox1)), ("join", (y1, o1)), ("join", (v3, u)),
-                ("close_of", (x2,))]
-    return None
+    # swing y1 onto ty (onto o1 once x1 has left for an outside end), then x2 onto t
+    x2_step = _attach_or_close(x2, t, o2)
+    if ty != o1:
+        return [("split_at", (v3, y1)), ("split_at", (u, x2)), ("join", (v3, u)),
+                ("join", (y1, ty)), x2_step]
+    ox1 = _first_outside(vc.balanced_path_ends[x1], (o1, o2))
+    return [("split_at", (x1, v3)), ("split_at", (v3, y1)), ("split_at", (u, x2)),
+            ("join", (x1, ox1)), ("join", (y1, o1)), ("join", (v3, u)), x2_step]
 
 
 # -- adjacent-V2-pair exchanges ------------------------------------------------
+
+_OUT = ("cyc", "ext")  # target kinds off the pair's path
+
 
 def _target_kinds(p, vc, v, o1, o2):
     out = []
@@ -728,14 +703,6 @@ def _target_kinds(p, vc, v, o1, o2):
         elif p.role[t] == END:
             out.append((t, "ext"))
     return out
-
-
-def _cycle_adjacent(p, t, t2):
-    cid = p.owner[t]
-    if cid != p.owner[t2] or t == t2:
-        return False
-    k = len(p.components[cid].vertices)
-    return (p.pos[t] - p.pos[t2]) % k in (1, k - 1)
 
 
 def find_pair_move(g: Graph, p: PathPartition, vc: VertexClassification) -> Move | None:
@@ -770,57 +737,59 @@ def find_pair_move(g: Graph, p: PathPartition, vc: VertexClassification) -> Move
 
 
 def _pair_exchange(p, a, b, o1, o2, ta, ka, tb, kb):
+    """The steps for a's target ta of kind ka and b's target tb of kind kb
+    (`_target_kinds`), or None where a stable partition can keep the pair.
+
+    In the order the table is read, with "out" for cyc or ext (`attach`
+    makes a plain join at a path end), after splitting a from b:
+
+        a    b    steps
+        o2   o1   join a-o2, close b's piece
+        o2   out  join a-o2, attach b
+        out  o1   join b-o1, attach a
+        o1   ext  close a's piece, join b-tb
+        ext  o2   join a-ta, close b's piece
+        out  out  attach a, attach b; never when ta == tb, and with ta and
+                  tb on one cycle only when adjacent there, opening the
+                  cycle between them before the split
+        any other pair: None
+    """
     split = ("split_at", (a, b))
-    if ka == "o2":
-        if kb == "o2":
-            return None
-        return [split, ("join", (a, o2)),
-                ("close_of", (b,)) if kb == "o1" else ("attach", (b, tb))]
-    if ka == "o1":
-        if kb != "ext":
-            return None
+    if ka == "o2" and kb != "o2":
+        return [split, ("join", (a, o2)), _attach_or_close(b, tb, o1)]
+    if kb == "o1" and ka != "o1":
+        return [split, ("join", (b, o1)), ("attach", (a, ta))]
+    if ka == "o1" and kb == "ext":
         return [split, ("close_of", (a,)), ("join", (b, tb))]
-    if ka == "cyc":
-        if kb == "o2":
-            return None
-        if kb == "cyc":
-            if p.owner[ta] == p.owner[tb]:
-                if not _cycle_adjacent(p, ta, tb):
-                    return None
-                return [("open_edge", (ta, tb)), split, ("join", (a, ta)), ("join", (b, tb))]
-            return [split, ("attach", (a, ta)), ("attach", (b, tb))]
-        if kb == "o1":
-            return [split, ("join", (b, o1)), ("attach", (a, ta))]
-        return [split, ("attach", (a, ta)), ("join", (b, tb))]
-    # ka == "ext"
-    if kb == "ext" and tb == ta:
-        return None
-    if kb == "o1":
-        return [split, ("join", (b, o1)), ("join", (a, ta))]
-    if kb == "o2":
+    if ka == "ext" and kb == "o2":
         return [split, ("join", (a, ta)), ("close_of", (b,))]
-    return [split, ("join", (a, ta)), ("attach", (b, tb))]
+    if ka in _OUT and kb in _OUT and ta != tb:
+        cid = p.owner[ta]
+        if cid != p.owner[tb] or ka == "ext":
+            return [split, ("attach", (a, ta)), ("attach", (b, tb))]
+        k = len(p.components[cid].vertices)
+        if (p.pos[ta] - p.pos[tb]) % k in (1, k - 1):
+            return [("open_edge", (ta, tb)), split, ("join", (a, ta)), ("join", (b, tb))]
+    return None
 
 
 def _splitting_inners_move(p, vc, verts, i, a, b, o1, o2):
+    """With a anchored to o1 and b to o2, a heavy interior vertex hu off the
+    pair is cut toward it and joined to a balanced path end outside {o1, o2}
+    (it has at least three), and the pair's far side closes into a cycle."""
     if o1 not in vc.balanced_targets(a) or o2 not in vc.balanced_targets(b):
         return None
+    heavy, ends = vc.heavy, vc.balanced_path_ends
     for hu in verts[1:i]:
-        if hu not in vc.heavy:
-            continue
-        t = _heavy_external_target(vc, hu, (o1, o2))
-        if t is None:
-            continue
-        return [("split_at", (a, b)), ("close_of", (b,)),
-                ("split_at", (hu, verts[p.pos[hu] + 1])), ("join", (a, o1)), ("join", (hu, t))]
+        if hu in heavy:
+            return [("split_at", (a, b)), ("close_of", (b,)),
+                    ("split_at", (hu, verts[p.pos[hu] + 1])), ("join", (a, o1)),
+                    ("join", (hu, _first_outside(ends[hu], (o1, o2))))]
     for hu in verts[i + 2:-1]:
-        if hu not in vc.heavy:
-            continue
-        t = _heavy_external_target(vc, hu, (o1, o2))
-        if t is None:
-            continue
-        return [("split_at", (a, b)), ("close_of", (a,)),
-                ("split_at", (verts[p.pos[hu] - 1], hu)), ("join", (b, o2)), ("join", (hu, t))]
+        if hu in heavy:
+            return [("split_at", (a, b)), ("close_of", (a,)),
+                    ("split_at", (verts[p.pos[hu] - 1], hu)), ("join", (b, o2)),
+                    ("join", (hu, _first_outside(ends[hu], (o1, o2))))]
     return None
 
 
@@ -861,13 +830,9 @@ def _edge_steps(state, u, v):
     """Ways to consume free edge (u, v): joins after enablers, or a closure."""
     cu, cv = state.owner[u], state.owner[v]
     if cu == cv:
-        comp = state.components[cu]
-        if comp.kind != PATH:
-            return
-        verts = comp.vertices
+        # `_compound_dfs` offers only free edges: u, v lie 2+ apart on a path
+        verts = state.components[cu].vertices
         plo, phi_ = sorted((state.pos[u], state.pos[v]))
-        if phi_ - plo < 2:
-            return
         # curl the u..v stretch into a cycle, shedding the outside stubs
         step = []
         if plo > 0:

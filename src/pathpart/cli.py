@@ -88,6 +88,11 @@ def _resolve_rules(g: Graph, args) -> RuleSet:
     return ruleset_for_degree(d)
 
 
+def _write_trace(path: str | Path, report: SolveReport) -> None:
+    """Write `report.trace` as JSON lines, one move per line."""
+    Path(path).write_text("".join(json.dumps(t) + "\n" for t in report.trace))
+
+
 def write_reproducer(out: str | Path, g: Graph, report: SolveReport) -> str:
     """Write the graph, final partition, certificate and `report.trace` to `out`."""
     out = Path(out)
@@ -95,8 +100,7 @@ def write_reproducer(out: str | Path, g: Graph, report: SolveReport) -> str:
     (out / "graph.txt").write_text(graphs.write_edge_list(g))
     (out / "partition.json").write_text(partition_to_json(report.partition))
     (out / "certificate.json").write_text(report.certificate.to_json())
-    trace = "".join(json.dumps(t) + "\n" for t in report.trace)
-    (out / "moves.jsonl").write_text(trace)
+    _write_trace(out / "moves.jsonl", report)
     return str(out)
 
 
@@ -110,7 +114,7 @@ def _solve_input(args, record_trace: bool = False):
 def cmd_solve(args) -> int:
     g, rules, report = _solve_input(args, record_trace=args.trace is not None)
     if args.trace:
-        Path(args.trace).write_text("".join(json.dumps(t) + "\n" for t in report.trace))
+        _write_trace(args.trace, report)
     cert = report.certificate
     if args.json:
         _emit(args, report.to_json(timings=args.timings) + cert.to_json())

@@ -150,9 +150,7 @@ def apply_rules(g: Graph, p: PathPartition, vc: VertexClassification,
             comp = p.components[p.owner[u]]
             if comp.kind == CYCLE:
                 return rs.cycle_transfers.get(len(comp.vertices))
-            if comp.kind == PATH:
-                return rs.path_transfer
-            return None
+            return rs.path_transfer  # no singleton: apply_rules refused them
         if u in vc.dangerous:
             if cv == V2A and rs.v2a_transfer is not None:
                 return rs.v2a_transfer

@@ -404,8 +404,8 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
     Vertex a owns the free edges (a, b) with b > a, and the scan walks each
     owner's neighbour list in ascending order of owners, which is edge
     order. An owner that cannot be cut at (not on a path, or with no V2 path
-    neighbour, as no V2a or V5 vertex has) is passed over with its whole
-    list.
+    neighbour, as no V2a or V5 vertex has) is never open in `failures` (see
+    `DerivedFailures.reopen`), so the scan passes over its whole list.
 
     Each candidate is decided on a `_CutView` of the live partition; nothing
     is built. A candidate whose new ends sa and sb have one and the same
@@ -444,9 +444,7 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
     balanced, path_ends, heavy = vc.balanced, vc.balanced_path_ends, vc.heavy
     free_nbrs = vc.free_nbrs
     failed, stamp = failures.failed, failures.stamp
-    for a in failures.pop_open():
-        if cls[a] in _NO_V2_NEIGHBOUR or role[a] in _OFF_PATH:
-            continue
+    for a in failures.pop_open():  # each on a path, neither V2a nor V5
         cuts_a = [s for s in p.path_neighbors(a) if cls[s] in V2_CLASSES]
         if not cuts_a:
             continue
@@ -827,7 +825,9 @@ def _end_variants(state, v):
 
 
 def _edge_steps(state, u, v):
-    """Ways to consume free edge (u, v): joins after enablers, or a closure."""
+    """Ways to consume free edge (u, v), each legal on `state`: a join after
+    enablers on the two components, or a closure of a path stretch whose
+    ends are adjacent."""
     cu, cv = state.owner[u], state.owner[v]
     if cu == cv:
         # `_compound_dfs` offers only free edges: u, v lie 2+ apart on a path
@@ -859,10 +859,7 @@ def _compound_dfs(g, state, phi0, remaining, focus, budget):
                 return None
             budget[0] -= 1
             nxt = state.copy()
-            try:
-                _Builder(g, nxt).run(step)
-            except MoveEngineError:
-                continue
+            _Builder(g, nxt).run(step)
             if nxt.potential() < phi0:
                 return step
             if remaining > 1:

@@ -217,11 +217,12 @@ def validate_partition(g: Graph, p: PathPartition) -> tuple[bool, list[str]]:
             violations.append(f"vertex {v} uncovered")
         elif c > 1:
             violations.append(f"vertex multiplicity: vertex {v} in {c} components")
-    for v, cid in enumerate(p.owner):
-        if cid is None:
+    for v, (cid, covered) in enumerate(zip(p.owner, counts)):
+        if cid is None and not covered:
             continue
         comp = p.components.get(cid)
-        if comp is None or p.pos[v] >= len(comp.vertices) or comp.vertices[p.pos[v]] != v:
+        if (comp is None or p.pos[v] not in range(len(comp.vertices))
+                or comp.vertices[p.pos[v]] != v):
             violations.append(f"owner index stale for vertex {v}")
         elif p.role[v] != _role(comp.kind, p.pos[v], len(comp.vertices) - 1):
             violations.append(f"role index stale for vertex {v}")

@@ -42,6 +42,8 @@ def test_structural_violation_rejected():
         decompose_blocks([V1, V2A, V4, V2A, V1])  # non-last tail is one V4
     with pytest.raises(DischargeError):
         decompose_blocks([V2A, V1])  # must start at V1
+    with pytest.raises(DischargeError, match=r"block at positions \[1\]\+\[2, 3\] matches no kind"):
+        decompose_blocks([V1, V2A, V3, V4, V1])  # last block, lone V2 + V3 V4
 
 
 def test_last_block_tail_shape_on_solved_instances():

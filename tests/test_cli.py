@@ -11,7 +11,8 @@ from hypothesis import given, strategies as st
 
 from pathpart.cli import build_parser, main
 from pathpart.discharge import apply_rules
-from pathpart.graphs import Graph, gen_circulant, gen_disjoint_cliques, write_edge_list
+from pathpart.graphs import (Graph, gen_circulant, gen_complete_bipartite, gen_disjoint_cliques,
+                             write_edge_list)
 
 from conftest import complete_graph, count_calls, simple_graphs
 
@@ -38,6 +39,13 @@ def test_gen_random(tmp_path):
     assert out.read_text().splitlines()[0] == "100 300"
 
 
+def test_gen_bipartite(tmp_path, capsys):
+    out = tmp_path / "inst.txt"
+    assert main(["gen", "--bipartite", "--d", "3", "-o", str(out)]) == 0
+    assert out.read_text() == write_edge_list(gen_complete_bipartite(3))
+    assert capsys.readouterr().err == "n=6 m=9 seed=0\n"
+
+
 def test_gen_rejects_odd_parity(tmp_path):
     out = tmp_path / "x.txt"
     assert main(["gen", "--random", "--n", "9", "--d", "5", "-o", str(out)]) == 2
@@ -47,7 +55,8 @@ def test_gen_rejects_odd_parity(tmp_path):
     ["--circulant", "--offsets", "1,x"],
     ["--circulant", "--n", "0"],
     ["--random", "--n", "10", "--d", "-2"],
-], ids=["bad-offsets", "circulant-n0", "negative-degree"])
+    ["--n", "7"],
+], ids=["bad-offsets", "circulant-n0", "negative-degree", "no-family"])
 def test_gen_rejects_bad_arguments(tmp_path, capsys, args):
     assert main(["gen", *args, "-o", str(tmp_path / "x.txt")]) == 2
     assert capsys.readouterr().err.startswith("gen: ")
@@ -98,6 +107,18 @@ def test_solve_output_deterministic(tmp_path):
     assert main(["solve", inst, "--json", "--seed", "5", "-o", str(a)]) == 0
     assert main(["solve", inst, "--json", "--seed", "5", "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_solve_timings_add_only_the_wall_time(tmp_path):
+    inst = _write(tmp_path, "inst.txt", gen_disjoint_cliques(6, 3, seed=4))
+    plain, timed = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["solve", inst, "--json", "-o", str(plain)]) == 0
+    assert main(["solve", inst, "--json", "--timings", "-o", str(timed)]) == 0
+    (report, cert), (timed_report, timed_cert) = (
+        [json.loads(line) for line in out.read_text().splitlines()] for out in (plain, timed))
+    wall = timed_report.pop("wall_time_s")
+    assert isinstance(wall, float) and wall >= 0
+    assert (timed_report, timed_cert) == (report, cert)
 
 
 def test_oracle_command(tmp_path):
@@ -170,7 +191,9 @@ def test_batch_stdout_is_one_json_line_per_job(tmp_path, capsys):
     None,
     '[{"command": "solve", "args": "g.txt"}]',
     '[{"command": "batch", "args": ["jobs.json"]}]',
-], ids=["no-command", "truncated-json", "missing-file", "args-not-a-list", "nested-batch"])
+    '{"jobs": "solve"}',
+], ids=["no-command", "truncated-json", "missing-file", "args-not-a-list", "nested-batch",
+        "jobs-not-a-list"])
 def test_batch_rejects_a_malformed_manifest(tmp_path, capsys, manifest):
     path = tmp_path / "jobs.json"
     if manifest is not None:

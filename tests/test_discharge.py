@@ -353,6 +353,36 @@ def test_ledger_matches_the_fraction_reference_where_rules_3_and_4_fire():
     assert fired[3] > 0 and fired[4] > 0
 
 
+def test_rule4_fires_from_a_v2b_vertex_with_one_v2_path_neighbour():
+    # paths a0 x1 u y1 a4 (0-4), q0 v w q3 (5-8), b0 b1, c0 c1 and d0 d1:
+    # x1 = 1 is heavy (b0, c0, d0), y1 = 3 moderate (b1, c1), so u = 2 is
+    # dangerous; v = 6 is V2b (its target d1, and w = 7 is V2 through b1)
+    # and its other path neighbour q0 is V1, so rule 4 moves 1/12 over v-u
+    paths = [[0, 1, 2, 3, 4], [5, 6, 7, 8], [9, 10], [11, 12], [13, 14]]
+    free = [(1, 9), (1, 11), (1, 13), (3, 10), (3, 12), (6, 14), (7, 10), (6, 2)]
+    g = Graph(15, [e for path in paths for e in pairwise(path)] + free)
+    p = PathPartition.from_lists(15, paths=paths)
+    vc = classify_vertices(g, p, classify_edges(g, p))
+    assert vc.dangerous == {2} and (vc.cls[6], vc.cls[7]) == (V2B, V2B)
+    ledger = apply_rules(g, p, vc, RULES_D6)
+    assert [t for t in ledger.transfers if t[3] != 2] == [(6, 2, Fraction(1, 12), 4)]
+    assert apply_rules(g, p, vc, RULES_D5).rule_counts[4] == 0
+    for rs in (RULES_D6, RULES_D5):
+        _assert_matches_reference(g, p, rs)
+
+
+def test_certify_refuses_a_passing_verdict_above_the_count_bound():
+    # a planted ledger that credits each of K7's two paths 7 points: every
+    # floor holds, yet 2 components exceed the bound of 1
+    g = complete_graph(7)
+    p = PathPartition.from_lists(7, paths=[[0, 1, 2], [3, 4, 5, 6]])
+    unit = RULES_D6.unit
+    ledger = PointLedger(units=[7 * unit] * 7, unit=unit, transfers=[],
+                         rule_counts=dict.fromkeys(range(1, 6), 0))
+    with pytest.raises(DischargeError, match="floor verdict inconsistent with component count"):
+        certify(g, p, ledger, RULES_D6)
+
+
 def _cycle_fed_by_a_path(size):
     """A cycle 0..size-1 whose every vertex has two free edges into a path's
     interior (rule 1 fires on each), and the partition of the two."""

@@ -39,6 +39,23 @@ def test_graph_rejects_malformed():
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(GraphError):
         Graph(3, [(0, 5)])
+    with pytest.raises(GraphError, match="nonnegative"):
+        Graph(-1, [])
+
+
+def test_equal_graphs_hash_alike():
+    assert len({Graph(3, [(0, 1), (1, 2)]), Graph(3, [(2, 1), (1, 0)])}) == 1
+    assert hash(Graph(3, [(0, 1)])) == hash(read_edge_list("3 1\n1 0\n"))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: gen_disjoint_cliques(0, 2), "need d >= 1 and k >= 1"),
+    (lambda: gen_disjoint_cliques(6, 0), "need d >= 1 and k >= 1"),
+    (lambda: gen_circulant(6, [1, 6]), "offset 0 would create self-loops"),
+], ids=["cliques-d0", "cliques-k0", "circulant-offset-n"])
+def test_generators_reject_bad_parameters(make, message):
+    with pytest.raises(GraphError, match=message):
+        make()
 
 
 def test_disjoint_cliques_counts():
@@ -68,6 +85,10 @@ def test_random_regular_deterministic():
 
 def test_random_regular_forced_k7():
     assert gen_random_regular(7, 6, seed=0) == complete_graph(7)
+
+
+def test_random_regular_degree_zero_is_edgeless():
+    assert gen_random_regular(5, 0, seed=3) == Graph(5, [])
 
 
 def test_random_regular_infeasible():
@@ -130,6 +151,12 @@ def test_read_edge_list_errors_carry_line_numbers():
         read_edge_list("nope\n")
     with pytest.raises(EdgeListParseError):
         read_edge_list("3 2\n0 1\n")  # count mismatch
+    with pytest.raises(EdgeListParseError, match="line 3: expected integers, got '0 x'"):
+        read_edge_list("3 1\n\n0 x\n")  # the blank line counts
+
+
+def test_read_edge_list_skips_blank_lines():
+    assert read_edge_list("3 2\n\n0 1\n  \n1 2\n\n") == Graph(3, [(0, 1), (1, 2)])
 
 
 def test_read_edge_list_rejects_non_ascii_bytes_with_their_line():

@@ -107,6 +107,17 @@ def test_singleton_two_step_shift():
     assert p.component_count() == 3
 
 
+def test_singleton_shift_search_stops_at_its_state_budget(monkeypatch):
+    # the two-step shift above expands two states: its root and one shift
+    g = Graph(8, [(1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (0, 2), (1, 5)])
+    p = PathPartition.from_lists(8, paths=[[1, 2, 3], [4, 5, 6, 7]], singletons=[0])
+    monkeypatch.setattr(moves, "SHIFT_STATE_BUDGET", 2)
+    assert len(eliminate_singletons(g, p).steps) == 4
+    monkeypatch.setattr(moves, "SHIFT_STATE_BUDGET", 1)
+    with pytest.raises(SingletonEliminationError, match="^singleton shift search budget exceeded$"):
+        eliminate_singletons(g, p)
+
+
 def test_outright_absorptions_build_no_signature(monkeypatch):
     # all six singletons of this solve are absorbed without a shift, so the
     # search never needs the O(n) partition signature that keys its states
@@ -268,6 +279,19 @@ def test_compound_depth1_matches_basic_on_singleton_free_states():
                 break
             apply_move(g, p, mv)
     assert checked >= 50
+
+
+def test_compound_search_stops_at_its_node_budget(monkeypatch, petersen):
+    # a Hamiltonian path of the Petersen graph, which has no Hamiltonian
+    # cycle, so no rewiring improves it: depth 3 spends the last of the 200
+    # states, and no deeper search starts
+    p = solve(petersen, seed=0).partition
+    assert p.potential() == (1, 0, 0)
+    monkeypatch.setattr(moves, "COMPOUND_NODE_BUDGET", 200)
+    calls = count_calls(monkeypatch, moves._compound_dfs)
+    assert find_compound_move(petersen, p, depth=6) is None
+    assert [remaining for _, state, _, remaining, *_ in calls if state is p] == [1, 2, 3]
+    assert calls[0][5] == [0]
 
 
 def test_every_move_is_sound_along_trajectories():

@@ -194,3 +194,33 @@ def test_dangerous_rewiring_builds_exact_primitives(edges, prims):
     phi = p.potential()
     assert apply_move(g, p, moves.Move("derived", steps))[0] == prims
     assert validate_partition(g, p)[0] and p.potential() < phi
+
+
+def _mirrored(v):
+    """The long path 0..9 read backwards; every other vertex kept."""
+    return 9 - v if v <= 9 else v
+
+
+@pytest.mark.parametrize("mirror, extra", [(False, (3, 1)), (False, (3, 5)), (True, (6, 2))],
+                         ids=["u-behind-v3", "x2-behind-u", "u-without-v2-neighbour"])
+def test_dangerous_scan_passes_over_a_free_edge_of_the_wrong_shape(mirror, extra):
+    # the first case above, with one more free edge at v3 that the scan must
+    # pass over before (3, 6): into 1, behind v3 (u must lie toward y1); into
+    # 5, whose one V2 path neighbour 4 lies behind it (x2 must lie beyond
+    # u); and, on the mirrored frame (v3 = 6, u = 3), into 2, which has no
+    # V2 path neighbour
+    relabel = _mirrored if mirror else (lambda v: v)
+    edges = [(relabel(a), relabel(b))
+             for a, b in _DANGEROUS_FRAME + [(7, 0), (4, 0), (4, 9)]]
+    paths = [[relabel(v) for v in range(10)], [10, 11], [12, 13], [14, 15], [19, 20]]
+    built = []
+    for more in ([], [extra]):
+        g = Graph(21, edges + more)
+        p = PathPartition.from_lists(21, paths=paths, cycles=[[16, 17, 18]])
+        vc = _classified(g, p)
+        v3 = relabel(3)
+        assert vc.dangerous == {v3} and vc.free_nbrs[v3][0] == (extra[1] if more else relabel(6))
+        built.append(apply_move(g, p, moves.Move("derived", moves._find_dangerous_move(p, vc)))[0])
+    assert built[1] == built[0] == [
+        ("split", 0, relabel(3), relabel(4)), ("split", 7, relabel(6), relabel(7)),
+        ("join", relabel(7), relabel(0)), ("join", relabel(3), relabel(6)), ("close", 11)]

@@ -233,6 +233,19 @@ def test_budget_is_checked_before_any_table_is_allocated():
         exact_pi_p(Graph(33, []), budget=10**12, cap=33)
 
 
+def test_a_table_that_does_not_fit_is_unknown(monkeypatch):
+    # the subprocess CLI test meets a real allocation failure under an address
+    # space limit; here the cover table's allocation raises in-process
+    import numpy
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(numpy, "full", no_memory)
+    with pytest.raises(OracleUnknown, match="^subset DP tables do not fit in memory$"):
+        exact_pi_p(complete_graph(7))
+
+
 def test_layered_dp_works_in_slabs():
     g = gen_circulant(18, [1, 2, 3])
     # the oracle imports numpy on first use; do that outside the traced window,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pathpart import moves
-from pathpart.graphs import gen_disjoint_cliques
+from pathpart.graphs import Graph, gen_disjoint_cliques
 from pathpart.partition import (ALONE, END, INNER, ON_CYCLE, Component, PathPartition,
                                 partition_from_json, partition_to_json, validate_partition)
 
@@ -79,6 +79,55 @@ def test_stale_role_flagged():
     p.role[4] = INNER
     assert validate_partition(g, p) == (False, ["role index stale for vertex 1",
                                                 "role index stale for vertex 4"])
+
+
+def _faulted(n, fault, **lists):
+    p = PathPartition.from_lists(n, **lists)
+    fault(p)
+    return p
+
+
+def _clear(p, v, *fields):
+    for name in fields:
+        getattr(p, name)[v] = None
+
+
+@pytest.mark.parametrize("fault", [
+    lambda p: _clear(p, 2, "owner", "pos", "role"),
+    lambda p: _clear(p, 2, "pos"),
+    lambda p: p.pos.__setitem__(2, -2),
+], ids=["entry-cleared", "pos-cleared", "pos-negative"])
+def test_a_cleared_or_negative_index_entry_is_stale(fault):
+    # a covered vertex's owner, pos and role must all point back at it; a
+    # list read would take pos -2 for the vertex two from the end
+    g = complete_graph(4)
+    p = _faulted(4, fault, paths=[[0, 1, 2, 3]])
+    assert validate_partition(g, p) == (False, ["owner index stale for vertex 2"])
+
+
+@pytest.mark.parametrize("g, p, violations", [
+    (complete_graph(4), PathPartition.from_lists(4, paths=[[0, 1, 0, 2]], singletons=[3]),
+     ["component 0: repeated vertex", "vertex multiplicity: vertex 0 in 2 components",
+      "role index stale for vertex 0"]),
+    (complete_graph(3), _faulted(3, lambda p: p.add(Component("singleton", [0, 1])),
+                                 singletons=[2]),
+     ["component 1: singleton of size 2"]),
+    (Graph(4, [(0, 1), (1, 2), (2, 3)]), PathPartition.from_lists(4, cycles=[[0, 1, 2, 3]]),
+     ["component 0: missing edge (3, 0)"]),
+    (complete_graph(4), _faulted(4, lambda p: p.owner.__setitem__(2, 0), paths=[[0, 1], [2, 3]]),
+     ["owner index stale for vertex 2"]),
+    (complete_graph(4), _faulted(4, lambda p: p.kind_counts.__setitem__("cycle", 1),
+                                 paths=[[0, 1, 2, 3]]),
+     ["kind counts {'path': 1, 'cycle': 1, 'singleton': 0} stale, "
+      "components hold {'path': 1, 'cycle': 0, 'singleton': 0}"]),
+], ids=["repeated-vertex", "singleton-of-two", "cycle-edge-missing", "owner-elsewhere",
+        "kind-counts"])
+def test_validate_partition_names_each_planted_fault(g, p, violations):
+    assert validate_partition(g, p) == (False, violations)
+
+
+def test_component_repr_names_kind_and_vertices():
+    assert repr(Component("cycle", [2, 0, 1])) == "Component(cycle, [2, 0, 1])"
 
 
 def test_json_round_trip_and_cycle_canonicalization():

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +8,7 @@ from pathpart import moves
 from pathpart.classify import classify_edges, classify_vertices
 from pathpart.discharge import RULES_D6, apply_rules, ruleset_for_degree
 from pathpart.graphs import Graph, gen_disjoint_cliques, gen_random_regular
-from pathpart.partition import PathPartition, partition_to_json, validate_partition
+from pathpart.partition import END, PathPartition, partition_to_json, validate_partition
 from pathpart.solver import _focus_for, canonicalize, initial_partition, solve
 
 from conftest import complete_graph, count_calls, draw_start, legal_primitives
@@ -140,6 +141,31 @@ def test_escalated_report_keeps_the_final_classification():
     _assert_report_matches_fresh_classification(g, report, RULES_D6)
 
 
+def test_a_compound_move_repairs_the_fixed_point_and_the_loop_reruns(monkeypatch):
+    # forced degree-6 rules on an irregular 6-vertex graph: the greedy path
+    # 0-4-5-1-3-2 is a fixed point and fails the floor (n < 7); the depth-4
+    # search curls it into a 6-cycle, the loop and certificate run again and
+    # fail again, and the second round's search escalates and gives up
+    g = Graph(6, [(0, 1), (0, 3), (0, 4), (1, 3), (1, 5), (2, 3), (2, 4), (3, 4), (4, 5)])
+    searches = []
+    find = moves.find_compound_move
+
+    def recorded(g, p, depth, focus):
+        mv = find(g, p, depth=depth, focus=focus)
+        searches.append((depth, mv is not None))
+        return mv
+
+    monkeypatch.setattr(moves, "find_compound_move", recorded)
+    report = solve(g, seed=70, rules=RULES_D6, record_trace=True)
+    assert searches == [(4, True), (4, False), (6, False)]
+    assert report.move_counts == {"compound": 1} and report.escalated
+    assert not report.certificate.verdict
+    assert [step["primitives"] for step in report.trace] == [
+        [["split", 0, 1, 3], ["close", 1], ["open", 1, 0, 4], ["join", 0, 3], ["close", 4]]]
+    assert json.loads(partition_to_json(report.partition))["cycles"] == [[0, 1, 5, 4, 2, 3]]
+    _assert_report_matches_fresh_classification(g, report, RULES_D6)
+
+
 def test_fixed_point_is_classified_once(monkeypatch):
     # the random graph needs derived moves, each of which reads the classification
     calls = count_calls(monkeypatch, classify_edges)
@@ -169,6 +195,23 @@ def test_focus_is_two_free_edges_around_the_failing_vertices():
     assert _focus_for(vc, [0]) == {0, 4, 6}
     assert _focus_for(vc, [0, 7]) == {0, 1, 4, 6, 7}
     assert _focus_for(vc, [3]) == {3}
+
+
+def test_validate_each_refuses_a_move_that_leaves_a_stale_index(monkeypatch):
+    # the closing move's build leaves vertex 0 marked a path end on the cycle
+    build = moves.apply_move
+
+    def faulty(g, p, mv):
+        built = build(g, p, mv)
+        p.role[0] = END
+        return built
+
+    monkeypatch.setattr(moves, "apply_move", faulty)
+    g = complete_graph(7)
+    p = PathPartition.from_lists(7, paths=[list(range(7))])
+    with pytest.raises(moves.MoveEngineError, match=r"^invalid partition after move: "
+                       r"\['role index stale for vertex 0'\]$"):
+        canonicalize(g, p, validate_each=True)
 
 
 @pytest.mark.parametrize("finder", ["find_basic_move", "eliminate_singletons"])

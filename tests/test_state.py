@@ -84,6 +84,24 @@ def test_check_refuses_a_singleton_heap_that_lost_the_least_singleton():
         state.check()
 
 
+def test_check_refuses_a_join_heap_that_lost_the_first_join():
+    g = regular_graph(10, 3, 0)
+    state = SolveState(g, PathPartition.from_lists(g.n, singletons=range(g.n)))
+    state.joins.clear()
+    with pytest.raises(moves.MoveEngineError, match="^basic-move candidates diverged from a scan of E$"):
+        state.check()
+
+
+def test_check_refuses_a_classification_that_diverged():
+    g = gen_disjoint_cliques(6, 2, seed=0)
+    state = SolveState(g, initial_partition(g, 0))
+    # no vertex of a K7's path is V5: an interior one has free edges to both ends
+    state.classification().cls[0] = "V5"
+    with pytest.raises(moves.MoveEngineError,
+                       match="^incremental classification diverged from scratch$"):
+        state.check()
+
+
 def test_closing_a_clique_pushes_no_chord():
     g = gen_disjoint_cliques(6, 2, seed=0)  # two K7s
     comps = sorted({tuple(sorted((v, *g.adj[v]))) for v in range(g.n)})

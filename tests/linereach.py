@@ -128,6 +128,7 @@ class LineReach:
 
 
 _reach = LineReach()
+_REPORT = pytest.StashKey[tuple[list[str], int]]()
 
 
 @pytest.hookimpl(tryfirst=True)
@@ -149,5 +150,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for line in lines:
         terminalreporter.write_line(line)
 
-
-_REPORT = pytest.StashKey[tuple[list[str], int]]()

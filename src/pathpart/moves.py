@@ -429,12 +429,13 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
     ox2 = o2 and ox2 = o1 apply, and both need an ox1 outside {o1, o2}.
 
     The owners are the vertices `failures` holds open, in ascending order,
-    and a free edge with a V2 cut pair at each end whose candidates found no
-    move (by a view, by one of those rejections, or because both cuts face
-    outward on one path) is recorded there and skipped while the record
-    stands (see `DerivedFailures`); the scan still returns the first hit in
-    edge order. Without `failures` it runs on fresh memory: every vertex it
-    can cut at open, and no records.
+    and each owner walked is decided edge by edge. A free edge with a V2 cut
+    pair at each end whose candidates found no move (by a view, by one of
+    those rejections, or because both cuts face outward on one path) has its
+    ends' watches registered there, so that a move that may change its
+    verdict re-opens its owner (see `DerivedFailures`); the scan still
+    returns the first hit in edge order. Without `failures` it runs on fresh
+    memory: every vertex it can cut at open, and no watches.
     """
     if failures is None:
         failures = DerivedFailures(g.n)
@@ -443,15 +444,12 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
     owner, pos, role = p.owner, p.pos, p.role
     balanced, path_ends, heavy = vc.balanced, vc.balanced_path_ends, vc.heavy
     free_nbrs = vc.free_nbrs
-    failed, stamp = failures.failed, failures.stamp
     for a in failures.pop_open():  # each on a path, neither V2a nor V5
         cuts_a = [s for s in p.path_neighbors(a) if cls[s] in V2_CLASSES]
         if not cuts_a:
             continue
         for b in free_nbrs[a]:
             if b <= a or cls[b] in _NO_V2_NEIGHBOUR or role[b] in _OFF_PATH:
-                continue
-            if failed.get((a, b)) == (stamp[a], stamp[b]):
                 continue
             cuts_b = [s for s in p.path_neighbors(b) if cls[s] in V2_CLASSES]
             # an edge with no V2 cut pair is cheaper to re-check than to watch
@@ -487,60 +485,59 @@ def find_derived_move(g: Graph, p: PathPartition, vc: VertexClassification,
 
 class DerivedFailures:
     """The derived scan's memory between calls: the vertices whose free
-    edges may hold a move, and the free edges whose candidates found none.
+    edges may hold a move, and the watches that re-open them.
 
-    **Failure records.** A free edge whose candidates found no move is kept
-    until a move retires a component its verdict read. The verdict on free
-    edge (a, b) reads the components in watch(a) ∪ watch(b), where watch(x)
-    is x's own component and those of the graph neighbours of x's path
-    neighbours: the first holds the cuts, the pieces, the path neighbours
-    and the positions that tell whether both cuts face outward, the others
-    decide each path neighbour's V2 class, heavy mark and balanced targets
-    and own the targets the reconnection reads. While none of those
-    components dies or changes kind, x keeps its path neighbours and they
-    keep their neighbours' components, so watch(x) and the verdict stand.
-    A vertex's watch is registered once, in `watchers` (component id ->
-    (vertex, stamp) pairs), and stays until `retire` drops one of its
-    components; that bumps the vertex's `stamp`. A failed edge keeps the
-    stamps of its two ends, so it stands while
-    `failed[a, b] == (stamp[a], stamp[b])`. Whoever applies moves must pass
-    each move's steps to `retire` before building it.
+    **Watches.** The verdict on a free edge (a, b) whose candidates found no
+    move reads the components in watch(a) ∪ watch(b), where watch(x) is x's
+    own component and those of the graph neighbours of x's path neighbours:
+    the first holds the cuts, the pieces, the path neighbours and the
+    positions that tell whether both cuts face outward, the others decide
+    each path neighbour's V2 class, heavy mark and balanced targets and own
+    the targets the reconnection reads. While none of those components dies
+    or changes kind, x keeps its path neighbours and they keep their
+    neighbours' components, so watch(x) and the verdict stand. `record`
+    registers an end's watch in `watchers` (component id -> watching
+    vertices) and sets `watched[x]`, and registers none again while it is
+    set. `retire` bumps each vertex still watched under a component it
+    retires: it clears the mark, and the vertex waits in `bumped` for the
+    next `reopen`. A vertex bumped and then registered again keeps its
+    entries under its earlier watch, and each of them can bump it once more
+    than needed. That only re-opens an owner whose edges the next scan
+    decides again, so it hides no move. Whoever applies moves must pass each
+    move's steps to `retire` before building it.
 
     **Open set.** Vertex a owns the free edges (a, b) with b > a. `heap` is
     a lazily validated min-heap of open owners, marked in `is_open`; an
     entry whose vertex closed is dropped when it comes up. `pop_open` yields
     them in ascending order, and an owner the scan moves past closes, as it
-    decided each of its edges: by class or role, by a standing record, by
-    having no V2 cut pair at one end, or by candidates that found no move,
-    then recorded. The owner of a hit stays open. Whoever applies moves must
-    call `reopen` with every vertex once the classification is built, and
-    after that with each region `reclassify` recomputes; `reopen` adds the
-    vertices whose stamps `retire` bumped since its last call. Class and
-    role change only in the region, and so do path neighbours and their V2
-    status; a new free edge has both ends there; and a record falls only
-    with a bumped stamp. `reopen` also opens each free neighbour w < v of
-    such a vertex v, the owner of the edge (w, v). Only vertices the scan
-    can cut at (on a path, neither V2a nor V5) are opened: any other owns no
-    candidate and ends none, and it is back in the region before that
-    changes. So every cuttable vertex above `top`, the highest owner a scan
-    has closed, is open, and `reopen` looks only at the neighbours
-    w <= `top`.
+    decided each of its edges: by class or role, by having no V2 cut pair at
+    one end, or by candidates that found no move, whose ends it then
+    watches. The owner of a hit stays open. Whoever applies moves must call
+    `reopen` with every vertex once the classification is built, and after
+    that with each region `reclassify` recomputes; `reopen` adds the
+    vertices `retire` bumped since its last call. Class and role change only
+    in the region, and so do path neighbours and their V2 status; a new
+    free edge has both ends there; and a verdict falls only with a bumped
+    end. `reopen` also opens each free neighbour w < v of such a vertex v,
+    the owner of the edge (w, v). Only vertices the scan can cut at (on a
+    path, neither V2a nor V5) are opened: any other owns no candidate and
+    ends none, and it is back in the region before that changes. So every
+    cuttable vertex above `top`, the highest owner a scan has closed, is
+    open, and `reopen` looks only at the neighbours w <= `top`.
     """
 
     def __init__(self, n: int):
-        self.failed: dict[tuple[int, int], tuple[int, int]] = {}
-        self.stamp = [0] * n
         self.watched = [False] * n
-        self.watchers: dict[int, list[tuple[int, int]]] = {}
+        self.watchers: dict[int, list[int]] = {}
         self.bumped: list[int] = []  # by `retire` since the last `reopen`
         self.heap: list[int] = []
         self.is_open = [False] * n
         self.top = -1  # the highest owner a scan has closed
 
     def record(self, g: Graph, p: PathPartition, a: int, b: int) -> None:
-        """Record that free edge (a, b), a < b, has no derived move on p."""
-        stamp, watched, watchers = self.stamp, self.watched, self.watchers
-        owner = p.owner
+        """Record that free edge (a, b), a < b, has no derived move on p: watch
+        each end not yet watched."""
+        watched, watchers, owner = self.watched, self.watchers, p.owner
         for x in (a, b):
             if watched[x]:
                 continue
@@ -548,30 +545,28 @@ class DerivedFailures:
             cids = {owner[x]}
             for s in p.path_neighbors(x):
                 cids.update([owner[w] for w in g.adj[s]])
-            entry = (x, stamp[x])
             for cid in cids:
-                watchers.setdefault(cid, []).append(entry)
-        self.failed[a, b] = (stamp[a], stamp[b])
+                watchers.setdefault(cid, []).append(x)
 
     def retire(self, p: PathPartition, steps) -> None:
-        """Drop every watch that reads a component the move of these steps
-        may kill or re-kind, on p before the move is built.
+        """Bump every vertex watched under a component the move of these
+        steps may kill or re-kind, on p before the move is built.
 
         Those are taken as the components of every vertex the steps name, a
         superset: every primitive acts on the component of a vertex it
         names, and a component that stood before the move still holds the
-        same vertices when a step reaches it. Each dropped watch bumps its
-        vertex's stamp, and the bumped vertices wait for the next `reopen`.
-        While no watch is registered nothing is worked out.
+        same vertices when a step reaches it. Their watcher lists are
+        dropped, and each vertex on them still watched loses its mark and
+        waits for the next `reopen`. While no watch is registered nothing is
+        worked out.
         """
         watchers = self.watchers
         if not watchers:
             return
-        stamp, watched, bumped, owner = self.stamp, self.watched, self.bumped, p.owner
+        watched, bumped, owner = self.watched, self.bumped, p.owner
         for cid in {owner[x] for _, args in steps for x in args}:
-            for x, s in watchers.pop(cid, ()):
-                if s == stamp[x]:
-                    stamp[x] = s + 1
+            for x in watchers.pop(cid, ()):
+                if watched[x]:
                     watched[x] = False
                     bumped.append(x)
 

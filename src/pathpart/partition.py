@@ -190,12 +190,13 @@ def validate_partition(g: Graph, p: PathPartition) -> tuple[bool, list[str]]:
     counts = [0] * g.n
     for cid, comp in p.components.items():
         verts = comp.vertices
-        for v in verts:
+        distinct = dict.fromkeys(verts)  # a component counts each vertex once
+        for v in distinct:
             if not (0 <= v < g.n):
                 violations.append(f"component {cid}: vertex {v} out of range")
             else:
                 counts[v] += 1
-        if len(set(verts)) != len(verts):
+        if len(distinct) != len(verts):
             violations.append(f"component {cid}: repeated vertex")
         if comp.kind == SINGLETON and len(verts) != 1:
             violations.append(f"component {cid}: singleton of size {len(verts)}")

@@ -13,6 +13,10 @@ it prints each unreached line by file and function, less those in
 `ALLOWED`, then each `ALLOWED` entry that no longer names an unreached line,
 and last the `src/` code-line count (`code_lines`). Any unreached line
 outside `ALLOWED`, or a stale entry, turns a passing run into exit status 1.
+
+For the count alone, run no tests:
+
+    python -m tests.linereach
 """
 
 from __future__ import annotations
@@ -53,6 +57,10 @@ def code_lines(src: str) -> int:
     code = {i for tok in tokenize.generate_tokens(io.StringIO(src).readline)
             if tok.type not in _SKIP for i in range(tok.start[0], tok.end[0] + 1)}
     return len(code - docs)
+
+
+def src_code_lines() -> int:
+    return sum(code_lines(f.read_text()) for f in SRC.rglob("*.py"))
 
 
 def executable_lines(path: Path) -> dict[int, str]:
@@ -122,8 +130,7 @@ class LineReach:
             out.append("allow-list entry names no unreached line: %s:%s: %r" % key)
         out.append(f"{reached} of {total} executable lines reached; "
                    f"{len(allowed_seen)} allowed unreached, {faults} fault(s)")
-        out.append("src/ code lines: %d" % sum(
-            code_lines(f.read_text()) for f in SRC.rglob("*.py")))
+        out.append("src/ code lines: %d" % src_code_lines())
         return out, faults
 
 
@@ -150,3 +157,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for line in lines:
         terminalreporter.write_line(line)
 
+
+if __name__ == "__main__":
+    print("src/ code lines: %d" % src_code_lines())

@@ -51,6 +51,14 @@ def test_gen_rejects_odd_parity(tmp_path):
     assert main(["gen", "--random", "--n", "9", "--d", "5", "-o", str(out)]) == 2
 
 
+def test_gen_random_gives_up_after_its_restarts(tmp_path, capsys):
+    out = tmp_path / "x.txt"
+    assert main(["gen", "--random", "--n", "14", "--d", "6", "--restarts", "1",
+                 "-o", str(out)]) == 2
+    assert "no simple pairing found in 1 restarts" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["--circulant", "--offsets", "1,x"],
     ["--circulant", "--n", "0"],

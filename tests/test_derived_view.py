@@ -1,7 +1,7 @@
 """Property tests: the derived scan, deciding each candidate on a view of the
 live partition, returns the move that building every candidate on a copy
-returns; and walking only the open vertices, skipping the free edges whose
-recorded failures still stand, returns the move a full scan returns.
+returns; and walking only the open vertices returns the move a full scan
+returns.
 Hand-built partitions pin the candidates rejected before any view and an
 edge that a split elsewhere decides again."""
 
@@ -187,7 +187,7 @@ def test_derived_failures_match_a_full_scan_along_a_solve(data):
     with (mock.patch.object(moves, "find_derived_move", checked),
           mock.patch.object(SolveState, "apply", applied)):
         canonicalize(g, p)
-    # every call of the solve passed the one failure record it keeps
+    # every call of the solve passed the one memory it keeps
     assert len({id(f) for f in failures_seen}) <= 1
     assert None not in failures_seen
 
@@ -196,7 +196,7 @@ def test_derived_failures_match_a_full_scan_along_a_solve(data):
 @given(st.data())
 def test_derived_failures_match_a_full_scan_under_random_primitives(data):
     # random splits and joins change a path neighbour's neighbours far more
-    # often than a solve does, which is what the recorded failures must notice
+    # often than a solve does, which is what the watches must notice
     if data.draw(st.booleans(), label="perturbed cliques"):
         g, p = _draw_perturbed_cliques(data)
     else:
@@ -323,8 +323,8 @@ def test_one_shared_target_is_rejected_without_a_view(monkeypatch, paths, cycles
     failures.reopen(p, vc, range(g.n))
     assert moves.find_derived_move(g, p, vc, failures) == _built_derived_move(g, p, vc)
     assert views == []
-    # the rejected edge is recorded like an edge whose views all failed
-    assert failures.failed[min(a, b), max(a, b)] == (failures.stamp[a], failures.stamp[b])
+    # the rejected edge's ends are watched like those of an edge whose views all failed
+    assert failures.watched[a] and failures.watched[b]
 
 
 def test_an_end_with_no_path_end_target_is_rejected_without_a_view(monkeypatch):
@@ -342,7 +342,7 @@ def test_an_end_with_no_path_end_target_is_rejected_without_a_view(monkeypatch):
     failures.reopen(p, vc, range(g.n))
     assert moves.find_derived_move(g, p, vc, failures) == _built_derived_move(g, p, vc)
     assert views == []
-    assert failures.failed[min(a, b), max(a, b)] == (failures.stamp[a], failures.stamp[b])
+    assert failures.watched[a] and failures.watched[b]
 
 
 def test_a_heavy_end_alone_takes_the_path_end_target(monkeypatch):
@@ -377,7 +377,7 @@ def test_targets_that_all_end_the_one_path_are_rejected_without_a_view(monkeypat
     failures.reopen(p, vc, range(g.n))
     assert moves.find_derived_move(g, p, vc, failures) == _built_derived_move(g, p, vc)
     assert views == []
-    assert failures.failed[min(a, b), max(a, b)] == (failures.stamp[a], failures.stamp[b])
+    assert failures.watched[a] and failures.watched[b]
 
 
 def test_a_second_target_keeps_the_candidate(monkeypatch):
@@ -405,24 +405,59 @@ def test_retire_then_reopen_opens_exactly_the_bumped_watchers_that_can_be_cut_at
         g, p = _draw_perturbed_cliques(data)
     else:
         g, p = draw_start(data)
+
+    def draw_records(vc):
+        edges = list(vc.free_edges())
+        return data.draw(st.lists(st.sampled_from(edges)) if edges else st.just([]),
+                         label="recorded edges")
+
+    def watched():
+        return {x for x in range(g.n) if failures.watched[x]}
+
     vc = classify_vertices(g, p, classify_edges(g, p))
     failures = moves.DerivedFailures(g.n)
-    edges = list(vc.free_edges())
-    for a, b in data.draw(st.lists(st.sampled_from(edges)) if edges else st.just([]),
-                          label="recorded edges"):
+    recorded = draw_records(vc)
+    for a, b in recorded:
         failures.record(g, p, a, b)
-    watching = {x for a, b in failures.failed for x in (a, b)}
+    watching = {x for edge in recorded for x in edge}
+    assert watched() == watching
     prim = data.draw(st.sampled_from(legal_primitives(g, p)), label="primitive")
     steps = [step_for(p, prim)]
     named = {p.owner[x] for _, args in steps for x in args}
     bumped = {x for x in watching if _watch(g, p, x) & named}
     failures.retire(p, steps)
-    assert {x for x in range(g.n) if failures.stamp[x]} == bumped
+    assert sorted(failures.bumped) == sorted(bumped)
+    assert watched() == watching - bumped
     failures.reopen(p, vc, ())
     assert {x for x in range(g.n) if failures.is_open[x]} == {
         x for x in bumped
         if vc.cls[x] not in (V2A, V5) and p.role[x] not in (ON_CYCLE, ALONE)}
     assert failures.bumped == []
+
+    # a second round on the moved partition, in a solve state holding this
+    # memory: a scan and drawn edges register watches, and a vertex bumped
+    # above and watched again keeps its entries under its first watch
+    watch_of = {x: _watch(g, p, x) for x in watched()}  # each vertex's current watch
+    moves.apply_move(g, p, moves.Move("random", steps))
+    state = SolveState(g, p)
+    state.derived_failures = failures
+    vc = state.classification()
+    assert moves.find_derived_move(g, p, vc, failures) == moves.find_derived_move(g, p, vc)
+    for a, b in draw_records(vc):
+        failures.record(g, p, a, b)
+    watch_of.update((x, _watch(g, p, x)) for x in watched() - set(watch_of))
+    assert watched() == set(watch_of)
+    prim = data.draw(st.sampled_from(legal_primitives(g, p)), label="second primitive")
+    steps = [step_for(p, prim)]
+    named = {p.owner[x] for _, args in steps for x in args}
+    state.apply(moves.Move("random", steps))  # retires, then builds
+    bumped = failures.bumped
+    assert len(set(bumped)) == len(bumped)
+    # every vertex whose current watch reads a retired component is bumped;
+    # an earlier watch's entry may bump another, but only a watched one
+    assert {x for x, watch in watch_of.items() if watch & named} <= set(bumped) <= set(watch_of)
+    vc = state.classification()
+    assert moves.find_derived_move(g, p, vc, failures) == moves.find_derived_move(g, p, vc)
 
 
 def test_retire_with_no_watch_registered_changes_nothing():
@@ -436,31 +471,39 @@ def test_retire_with_no_watch_registered_changes_nothing():
     assert vars(failures) == before
 
 
-def test_a_record_stands_until_a_move_retires_a_component_it_watches():
-    # (a, b) is recorded by the shared-target rejection; its verdict reads
-    # a's and b's paths and t's, not the closable path x-y-z
+def test_a_record_stands_until_a_move_retires_a_component_it_watches(monkeypatch):
+    # (a, b) is decided by the shared-target rejection, which watches its
+    # ends; its verdict reads a's and b's paths and t's, not the closable
+    # path x-y-z
     g, p, v = _named_instance(_APART + [["t", "w"], ["x", "y", "z"]],
                               free=_SHARED_T + [("x", "z")])
     a, b, t, x = (v[n] for n in ("a", "b", "t", "x"))
     state = SolveState(g, p)
     failures = state.derived_failures
+    walks = []
+    pop_open = moves.DerivedFailures.pop_open
+
+    def walked(self):
+        walks.append([])
+        for u in pop_open(self):
+            walks[-1].append(u)
+            yield u
+
+    monkeypatch.setattr(moves.DerivedFailures, "pop_open", walked)
 
     def scan():
         return moves.find_derived_move(g, p, state.classification(), failures)
 
-    def stands():
-        return failures.failed.get((a, b)) == (failures.stamp[a], failures.stamp[b])
-
-    assert scan() is None and stands()
-    recorded = failures.failed[a, b]
+    assert scan() is None and a in walks[-1]
+    assert failures.watched[a] and failures.watched[b]
     state.apply(moves.Move("basic", [("close_of", (x,))]))
-    assert stands()
-    assert scan() is None and failures.failed[a, b] == recorded
+    assert failures.watched[a] and failures.watched[b]
+    assert scan() is None and a not in walks[-1]
     state.apply(moves.Move("random", [("split_at", (t, v["w"]))]))
-    assert not stands()
-    # the next scan decides (a, b) again and records it under the new stamps
-    assert scan() is None and stands()
-    assert failures.failed[a, b] != recorded
+    assert {a, b} <= set(failures.bumped)
+    # the next scan walks a again, decides (a, b) again and watches its ends anew
+    assert scan() is None and a in walks[-1]
+    assert failures.watched[a] and failures.watched[b]
 
 
 def test_an_outward_cut_edge_is_decided_again_after_a_split_between_its_ends():

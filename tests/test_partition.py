@@ -24,7 +24,7 @@ def test_vertex_in_two_components_flagged():
     p.add(Component("path", [3, 4, 5, 6]))
     ok, violations = validate_partition(g, p)
     assert not ok
-    assert any("multiplicity" in v for v in violations)
+    assert "vertex multiplicity: vertex 3 in 2 components" in violations
 
 
 def test_missing_edge_flagged():
@@ -107,8 +107,7 @@ def test_a_cleared_or_negative_index_entry_is_stale(fault):
 
 @pytest.mark.parametrize("g, p, violations", [
     (complete_graph(4), PathPartition.from_lists(4, paths=[[0, 1, 0, 2]], singletons=[3]),
-     ["component 0: repeated vertex", "vertex multiplicity: vertex 0 in 2 components",
-      "role index stale for vertex 0"]),
+     ["component 0: repeated vertex", "role index stale for vertex 0"]),
     (complete_graph(3), _faulted(3, lambda p: p.add(Component("singleton", [0, 1])),
                                  singletons=[2]),
      ["component 1: singleton of size 2"]),
